@@ -159,7 +159,12 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
                         static_cast<std::size_t>(linear->in_features()));
                 }
             }
-            if (quantized_) {
+            // The classifier (the graph's last layer) stays float: it
+            // is the per-task head serving installs in place, and an
+            // int8 snapshot taken here would keep serving whichever
+            // head was installed when the plan was built.
+            const bool classifier = i + 1 == graph.size();
+            if (quantized_ && !classifier) {
                 // Linear keeps its int8 snapshot transposed ([in, out])
                 // so the GEMM tiles 16-wide over out_features; the
                 // per-output-channel scales are unaffected.
@@ -248,7 +253,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                     viewp = &view;
                 }
                 bool compacted;
-                if (quantized_) {
+                if (!step.qweight.empty()) {
                     compacted = step.conv->forward_into_quantized(
                         *cur, workspace, step.buffer, step.qweight, viewp);
                     ++quantized_hits_;
@@ -315,7 +320,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                     viewp = &view;
                 }
                 bool compacted;
-                if (quantized_) {
+                if (!step.qweight.empty()) {
                     compacted = step.linear->forward_into_quantized(
                         *cur, workspace, step.buffer, step.qweight, viewp);
                     ++quantized_hits_;

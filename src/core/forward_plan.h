@@ -38,7 +38,10 @@
 // scale per sample into workspace scratch, the contraction happens in
 // int32, and the dequantized float lands in the same output buffer, so
 // BN / activation / threshold-mask stages are unchanged. Deadness
-// propagation composes: the same live sets drive qgemm_rows.
+// propagation composes: the same live sets drive qgemm_rows. The
+// classifier is the exception: it is the per-task head that serving
+// overwrites on every task install, so it runs float against its live
+// weights and a head swap needs no plan rebuild.
 //
 // Thresholds are read live from the sites at execution time: a task's
 // threshold install between batches needs no plan rebuild (the
@@ -171,9 +174,11 @@ private:
         // -- quantized execution (conv / linear steps only) ----------------
         /// Int8 snapshot of the layer's weights with per-output-channel
         /// scales, built once when the plan is built under an enabled
-        /// QuantizedExecution policy (empty otherwise). The float
-        /// master weights stay untouched, so threshold installs and
-        /// calibration see exactly the weights they always did.
+        /// QuantizedExecution policy (empty otherwise, and always for
+        /// the float classifier). A step runs the int8 kernels exactly
+        /// when this is non-empty. The float master weights stay
+        /// untouched, so threshold installs and calibration see exactly
+        /// the weights they always did.
         nn::QuantizedTensor qweight;
     };
 

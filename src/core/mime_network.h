@@ -40,10 +40,11 @@ struct SparseExecution {
 
 /// Policy for the quantized planned executor: when enabled, plans built
 /// afterwards pre-quantize conv/linear weights to int8 (per-output-
-/// channel scales; float master weights untouched) and run those steps
-/// through the int8 row-compacted kernels with per-sample dynamic
-/// activation quantization. Composes with SparseExecution — the live
-/// sets drive the same row compaction either way.
+/// channel scales; float master weights untouched; the per-task
+/// classifier head stays float) and run those steps through the int8
+/// row-compacted kernels with per-sample dynamic activation
+/// quantization. Composes with SparseExecution — the live sets drive
+/// the same row compaction either way.
 struct QuantizedExecution {
     bool enabled = false;
 };

@@ -162,9 +162,8 @@ InferenceServer::InferenceServer(core::MimeNetwork& network,
           "request latency, enqueue to completion (us)")) {
     network_->set_training(false);
     // The planned executor needs eval-mode forwards (no backward-only
-    // caches); the legacy path keeps the network's previous cache
-    // behavior so A/B benches compare against the true old path.
-    network_->set_eval_mode(config.planned_executor);
+    // caches).
+    network_->set_eval_mode(true);
     network_->set_mode(core::ActivationMode::threshold);
     network_->set_pool(&pool_);
     network_->set_sparse_execution(
@@ -384,35 +383,22 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
         // traced batches.
         const Clock::time_point installed = traced ? Clock::now() : started;
 
-        // Planned path: stack request images into the plan's
-        // preallocated input slab and execute against plan buffers +
-        // this replica's workspace — zero heap allocations once the
-        // plan for this batch size is warm. Legacy path kept for A/B.
-        std::optional<Tensor> legacy_logits;
-        const Tensor* logits = nullptr;
-        if (config_.planned_executor) {
-            core::ForwardPlan& plan =
-                network_->plan_for(static_cast<std::int64_t>(batch.size()));
-            Tensor& slab = plan.input_slab();
-            for (std::size_t n = 0; n < batch.size(); ++n) {
-                batch_assign(slab, static_cast<std::int64_t>(n),
-                             batch[n].image);
-            }
-            logits = &network_->forward_planned(slab, workspace_);
-        } else {
-            std::vector<Tensor> images;
-            images.reserve(batch.size());
-            for (InferenceRequest& request : batch) {
-                images.push_back(std::move(request.image));
-            }
-            legacy_logits = network_->forward(stack(images));
-            logits = &*legacy_logits;
+        // Stack request images into the plan's preallocated input slab
+        // and execute against plan buffers + this replica's workspace —
+        // zero heap allocations once the plan for this batch size is
+        // warm.
+        core::ForwardPlan& plan =
+            network_->plan_for(static_cast<std::int64_t>(batch.size()));
+        Tensor& slab = plan.input_slab();
+        for (std::size_t n = 0; n < batch.size(); ++n) {
+            batch_assign(slab, static_cast<std::int64_t>(n), batch[n].image);
         }
+        const Tensor& logits = network_->forward_planned(slab, workspace_);
         if (config_.simulated_service_time.count() > 0) {
             std::this_thread::sleep_for(config_.simulated_service_time);
         }
 
-        const std::int64_t head_width = logits->shape().dim(1);
+        const std::int64_t head_width = logits.shape().dim(1);
         const std::int64_t classes = active_classes_;
         MIME_REQUIRE(classes >= 1 && classes <= head_width,
                      "task " + task + " claims " + std::to_string(classes) +
@@ -455,7 +441,7 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
             // Task-restricted logits row (the shared head is sized for
             // the largest task).
             const float* row =
-                logits->data() + static_cast<std::int64_t>(n) * head_width;
+                logits.data() + static_cast<std::int64_t>(n) * head_width;
             std::vector<float> row_values(
                 row, row + static_cast<std::size_t>(classes));
             result.logits = Tensor({classes}, std::move(row_values));

@@ -69,27 +69,22 @@ struct ServerConfig {
     /// failures, and batch errors. Runs on the dispatch thread; a
     /// ServerPool uses it for admission-slot release and load tracking.
     std::function<void(std::size_t)> on_requests_complete;
-    /// Execute batches with the planned, allocation-free executor:
-    /// requests stack into the plan's preallocated input slab and the
-    /// forward runs against plan buffers plus this server's Workspace
-    /// (zero heap allocations after the first batch of each size). Off
-    /// falls back to the legacy allocate-per-call path — kept so
-    /// benches can A/B the two.
-    bool planned_executor = true;
     /// Let planned conv/linear steps skip structurally pruned rows via
-    /// row-compacted GEMM (bit-identical outputs; only effective with
-    /// the planned executor and tasks whose installed thresholds prune
-    /// neurons with core::kPrunedThreshold). Off forces dense — kept so
-    /// benches can A/B sparse against dense planned execution.
+    /// row-compacted GEMM (bit-identical outputs; only effective for
+    /// tasks whose installed thresholds prune neurons with
+    /// core::kPrunedThreshold). Off forces dense — kept so benches can
+    /// A/B sparse against dense planned execution.
     bool sparse_execution = true;
     /// Density above which sparse-capable layers run dense anyway.
     double sparse_density_cutoff = nn::kDefaultSparseDensityCutoff;
     /// Execute planned conv/linear steps through the int8 quantized
     /// kernels (per-output-channel weight scales snapshotted at plan
     /// build; per-sample dynamic activation scales; float masters and
-    /// threshold machinery untouched). Composes with sparse_execution —
-    /// the same live sets drive the row-compacted int8 GEMM. Off (the
-    /// default) keeps full-precision execution; benches A/B the two.
+    /// threshold machinery untouched). The per-task classifier head
+    /// stays float, so a head install takes effect without a plan
+    /// rebuild. Composes with sparse_execution — the same live sets
+    /// drive the row-compacted int8 GEMM. Off (the default) keeps
+    /// full-precision execution; benches A/B the two.
     bool quantized_execution = false;
     /// Fraction of requests that get a span Trace (0 = only requests
     /// with SubmitOptions::trace set, 1 = all). Deterministic rate
@@ -148,11 +143,10 @@ struct ServerStats {
     /// Per-priority completion counts and latency quantiles.
     PriorityLaneStats interactive;
     PriorityLaneStats batch;
-    /// Steady-state scratch high-water mark of this replica's Workspace
-    /// (0 when the legacy executor is configured).
+    /// Steady-state scratch high-water mark of this replica's Workspace.
     std::int64_t workspace_peak_bytes = 0;
     /// Bytes of plan-owned activation buffers across every batch size
-    /// planned so far (0 for the legacy executor).
+    /// planned so far.
     std::int64_t plan_buffer_bytes = 0;
     /// Planned conv/linear steps that ran the row-compacted sparse path.
     std::int64_t sparse_path_hits = 0;
@@ -198,9 +192,6 @@ public:
     InferenceServer& operator=(const InferenceServer&) = delete;
 
     const ServerConfig& config() const noexcept { return config_; }
-
-    // Keep the deprecated throwing shims visible next to the override.
-    using InferenceService::submit;
 
     /// Unified submission surface (see InferenceService::submit): never
     /// throws for runtime conditions — shutdown, deadline expiry,

@@ -188,9 +188,6 @@ public:
         return cost_model_;
     }
 
-    // Keep the deprecated throwing shims visible next to the override.
-    using InferenceService::submit;
-
     /// Unified submission surface (see InferenceService::submit):
     /// admission shedding completes the request with
     /// ServeStatus::overloaded, a stopped pool with shutdown — no

@@ -12,10 +12,6 @@
 // — through the ticket's future or, when `on_result` is set, a callback
 // invoked from the dispatch side (the async delivery step named in
 // ROADMAP.md).
-//
-// The pre-redesign throwing API (`submit(task, image)` /
-// `submit_async(task, image)`) survives only as thin deprecated shims
-// implemented on top of submit(); new code should branch on ServeStatus.
 #pragma once
 
 #include <chrono>
@@ -169,20 +165,6 @@ public:
     virtual void stop() = 0;
 
     virtual ServiceStats service_stats() const = 0;
-
-    // --- Deprecated throwing shims (pre-InferenceService API) ---------
-    // Thin wrappers over submit() that translate failure statuses back
-    // into the old exceptions: overloaded -> overload_error, everything
-    // else -> check_error. Kept so existing callers compile; new code
-    // should branch on ServeStatus instead.
-
-    /// Deprecated: future resolves with the result or the mapped
-    /// exception; rejections detected at submission rethrow here.
-    std::future<InferenceResult> submit_async(const std::string& task,
-                                              Tensor image);
-
-    /// Deprecated: submit and wait, throwing on any non-ok status.
-    InferenceResult submit(const std::string& task, Tensor image);
 
 protected:
     /// Delivers an immediate rejection on the envelope's channel and

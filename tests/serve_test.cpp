@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <thread>
 
@@ -642,6 +641,14 @@ struct ServeFixture {
     }
 };
 
+/// Submits with future delivery, waits, and expects ServeStatus::ok.
+InferenceResult run_ok(InferenceService& service, const std::string& task,
+                       Tensor image) {
+    Outcome<InferenceResult> outcome = service.run(task, std::move(image));
+    EXPECT_EQ(outcome.status(), ServeStatus::ok) << outcome.message();
+    return std::move(outcome).value();
+}
+
 TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
     ServeFixture fixture;
     Rng rng(17);
@@ -649,7 +656,7 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
 
     std::vector<std::string> request_tasks;
     std::vector<Tensor> request_images;
-    std::vector<std::future<InferenceResult>> futures;
+    std::vector<RequestTicket> tickets;
     {
         ServerConfig config;
         config.batcher.policy = BatchingPolicy::task_grouped;
@@ -665,7 +672,7 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
             Tensor image = Tensor::randn({3, 32, 32}, rng);
             request_tasks.push_back(task);
             request_images.push_back(image);
-            futures.push_back(server.submit_async(task, std::move(image)));
+            tickets.push_back(server.submit(task, std::move(image), {}));
         }
         server.drain();
 
@@ -677,8 +684,10 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
         server.stop();
     }
 
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        const InferenceResult result = futures[i].get();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+        const Outcome<InferenceResult> outcome = tickets[i].wait();
+        ASSERT_EQ(outcome.status(), ServeStatus::ok) << outcome.message();
+        const InferenceResult& result = outcome.value();
         EXPECT_EQ(result.task, request_tasks[i]);
         const Tensor reference =
             fixture.direct_logits(request_tasks[i], request_images[i]);
@@ -699,7 +708,18 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
 }
 
 TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
+    // The fixture's tasks differ only in thresholds; give beta its own
+    // classifier head so a head that fails to reach the int8 plan shows
+    // up in the logits.
+    const auto give_beta_own_head = [](ServeFixture& f) {
+        Rng head_rng(23);
+        core::TaskAdaptation& beta = f.adaptations[1];
+        ASSERT_EQ(beta.name, "beta");
+        beta.head_weight = Tensor::randn(beta.head_weight.shape(), head_rng);
+        beta.head_bias = Tensor::randn(beta.head_bias.shape(), head_rng);
+    };
     ServeFixture fixture;
+    give_beta_own_head(fixture);
     ServerConfig config;
     config.batcher.max_batch_size = 4;
     config.batcher.max_wait = std::chrono::microseconds(2000);
@@ -711,20 +731,17 @@ TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
     const Tensor image = Tensor::randn({3, 32, 32}, rng);
     // The same (task, image) twice: the int8 path is deterministic, so
     // serving must reproduce logits bit-for-bit across batches.
-    const InferenceResult first =
-        server.submit_async("alpha", image.clone()).get();
+    const InferenceResult first = run_ok(server, "alpha", image.clone());
     server.drain();
-    const InferenceResult second =
-        server.submit_async("alpha", image.clone()).get();
-    const InferenceResult other =
-        server.submit_async("beta", image.clone()).get();
+    const InferenceResult second = run_ok(server, "alpha", image.clone());
+    // beta runs on the batch-1 plan built while alpha was installed.
+    const InferenceResult other = run_ok(server, "beta", image.clone());
     server.drain();
 
     ASSERT_EQ(first.logits.numel(), second.logits.numel());
     for (std::int64_t c = 0; c < first.logits.numel(); ++c) {
         ASSERT_EQ(first.logits[c], second.logits[c]) << "class " << c;
     }
-    (void)other;
 
     const ServerStats stats = server.stats();
     EXPECT_EQ(stats.requests_served, 3);
@@ -744,10 +761,25 @@ TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
     EXPECT_TRUE(found);
     server.stop();
 
+    // After the alpha -> beta swap, beta's logits must bit-equal those
+    // of a fresh int8 network that only ever had beta installed: every
+    // plan serves the head installed now, not the one it was built
+    // under.
+    ServeFixture fresh_fixture;
+    give_beta_own_head(fresh_fixture);
+    InferenceServer fresh(fresh_fixture.network, fresh_fixture.loader(),
+                          config);
+    const InferenceResult beta_only = run_ok(fresh, "beta", image.clone());
+    fresh.stop();
+    ASSERT_EQ(other.logits.numel(), beta_only.logits.numel());
+    for (std::int64_t c = 0; c < other.logits.numel(); ++c) {
+        ASSERT_EQ(other.logits[c], beta_only.logits[c]) << "class " << c;
+    }
+
     // A float server reports zero quantized activity.
     config.quantized_execution = false;
     InferenceServer fp32(fixture.network, fixture.loader(), config);
-    fp32.submit_async("alpha", image.clone()).get();
+    run_ok(fp32, "alpha", image.clone());
     fp32.drain();
     EXPECT_EQ(fp32.stats().quantized_path_hits, 0);
     EXPECT_EQ(fp32.stats().quantized_weight_max_rel_error, 0.0);
@@ -774,8 +806,8 @@ TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
             for (int i = 0; i < kPerThread; ++i) {
                 const std::string& task =
                     tasks[static_cast<std::size_t>((t + i) % 3)];
-                results[static_cast<std::size_t>(t)].push_back(
-                    server.submit(task, Tensor::randn({3, 32, 32}, rng)));
+                results[static_cast<std::size_t>(t)].push_back(run_ok(
+                    server, task, Tensor::randn({3, 32, 32}, rng)));
             }
         });
     }
@@ -798,31 +830,11 @@ TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
     }
 }
 
-TEST(InferenceServer, RejectsWrongImageShapeAtSubmit) {
-    ServeFixture fixture;
-    InferenceServer server(fixture.network, fixture.loader());
-    // A mis-shaped request must fail at the door, not poison a batch.
-    EXPECT_THROW(server.submit("alpha", Tensor({1, 28, 28})), check_error);
-    EXPECT_THROW(server.submit("alpha", Tensor({3, 32})), check_error);
-    // Well-formed traffic is unaffected.
-    const InferenceResult result =
-        server.submit("alpha", Tensor({3, 32, 32}, 0.2f));
-    EXPECT_EQ(result.task, "alpha");
-    server.stop();
-}
-
 TEST(LoadGen, RejectsDegenerateBurstGapFraction) {
     LoadSpec spec;
     spec.pattern = ArrivalPattern::bursty;
     spec.burst_gap_fraction = 1.5;  // would make the idle gap negative
     EXPECT_THROW(generate_arrivals(spec), check_error);
-}
-
-TEST(InferenceServer, SubmitAfterStopThrows) {
-    ServeFixture fixture;
-    InferenceServer server(fixture.network, fixture.loader());
-    server.stop();
-    EXPECT_THROW(server.submit("alpha", Tensor({3, 32, 32})), check_error);
 }
 
 TEST(InferenceServer, HydratesFromAdaptationStoreOnDisk) {
@@ -836,7 +848,7 @@ TEST(InferenceServer, HydratesFromAdaptationStoreOnDisk) {
 
     InferenceServer server(fixture.network, store.task_loader());
     const InferenceResult result =
-        server.submit("beta", Tensor({3, 32, 32}, 0.1f));
+        run_ok(server, "beta", Tensor({3, 32, 32}, 0.1f));
     EXPECT_EQ(result.task, "beta");
     EXPECT_EQ(server.stats().cache_misses, 1);
     server.stop();
@@ -847,18 +859,17 @@ TEST(InferenceServer, HydratesFromAdaptationStoreOnDisk) {
 // Planned executor in the server (Workspace stats, steady-state allocs)
 // ---------------------------------------------------------------------------
 
-TEST(InferenceServer, ReportsWorkspaceBytesWithPlannedExecutor) {
+TEST(InferenceServer, ReportsWorkspaceAndPlanBufferBytes) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 4;
     config.batcher.max_wait = std::chrono::microseconds(500);
     config.worker_threads = 1;
-    ASSERT_TRUE(config.planned_executor);  // the default
     InferenceServer server(fixture.network, fixture.loader(), config);
 
     Rng rng(27);
     for (int i = 0; i < 8; ++i) {
-        server.submit("alpha", Tensor::randn({3, 32, 32}, rng));
+        run_ok(server, "alpha", Tensor::randn({3, 32, 32}, rng));
     }
     server.drain();
     const ServerStats stats = server.stats();
@@ -879,47 +890,21 @@ TEST(InferenceServer, SteadyStateBatchesAllocateNoTensorStorage) {
 
     const Tensor image({3, 32, 32}, 0.1f);
     // Warm-up: hydrate the task, build the plan, reserve the workspace.
-    server.submit("alpha", image);
-    server.submit("alpha", image);
+    run_ok(server, "alpha", image);
+    run_ok(server, "alpha", image);
 
     const std::int64_t allocations = Tensor::storage_allocation_count();
-    server.submit("alpha", image);
+    run_ok(server, "alpha", image);
     const std::int64_t per_request =
         Tensor::storage_allocation_count() - allocations;
     // The forward itself is allocation-free; what remains is request
     // plumbing (the submitted image, the result logits row) — a handful
-    // of tiny tensors, not the per-layer activation churn of the legacy
-    // path. Bound it tightly so a regression reintroducing per-layer
-    // allocation trips this immediately.
+    // of tiny tensors, not the per-layer activation churn of an
+    // allocate-per-call forward. Bound it tightly so a regression
+    // reintroducing per-layer allocation trips this immediately.
     EXPECT_LE(per_request, 8)
         << "steady-state request allocated " << per_request
         << " tensor storage blocks";
-    server.stop();
-}
-
-TEST(InferenceServer, LegacyExecutorStillServesAndReportsNoWorkspace) {
-    ServeFixture fixture;
-    ServerConfig config;
-    config.batcher.max_batch_size = 4;
-    config.batcher.max_wait = std::chrono::microseconds(500);
-    config.worker_threads = 1;
-    config.planned_executor = false;
-    InferenceServer server(fixture.network, fixture.loader(), config);
-
-    Rng rng(28);
-    const Tensor image = Tensor::randn({3, 32, 32}, rng);
-    const InferenceResult result = server.submit("beta", image.clone());
-    EXPECT_EQ(result.task, "beta");
-    server.drain();
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.workspace_peak_bytes, 0);
-    EXPECT_EQ(stats.plan_buffer_bytes, 0);
-
-    // Legacy and planned paths serve bit-identical logits.
-    const Tensor reference = fixture.direct_logits("beta", image);
-    for (std::int64_t c = 0; c < result.logits.numel(); ++c) {
-        ASSERT_EQ(result.logits[c], reference[c]);
-    }
     server.stop();
 }
 

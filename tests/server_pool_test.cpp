@@ -248,13 +248,21 @@ struct PoolFixture {
     }
 };
 
+/// Submits with future delivery, waits, and expects ServeStatus::ok.
+InferenceResult run_ok(InferenceService& service, const std::string& task,
+                       Tensor image) {
+    Outcome<InferenceResult> outcome = service.run(task, std::move(image));
+    EXPECT_EQ(outcome.status(), ServeStatus::ok) << outcome.message();
+    return std::move(outcome).value();
+}
+
 TEST(ServerPool, PooledResultsBitMatchDirectForward) {
     PoolFixture fixture(3);
     Rng rng(17);
 
     std::vector<std::string> request_tasks;
     std::vector<Tensor> request_images;
-    std::vector<std::future<InferenceResult>> futures;
+    std::vector<RequestTicket> tickets;
     {
         PoolConfig config;
         config.replica_count = 3;
@@ -273,7 +281,7 @@ TEST(ServerPool, PooledResultsBitMatchDirectForward) {
             Tensor image = Tensor::randn({3, 32, 32}, rng);
             request_tasks.push_back(task);
             request_images.push_back(image);
-            futures.push_back(pool.submit_async(task, std::move(image)));
+            tickets.push_back(pool.submit(task, std::move(image), {}));
         }
         pool.drain();
 
@@ -290,8 +298,10 @@ TEST(ServerPool, PooledResultsBitMatchDirectForward) {
     // The pool mutated per-replica thresholds/heads, but the shared
     // backbone is untouched: direct forwards still reproduce every
     // served logit bit for bit.
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        const InferenceResult result = futures[i].get();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+        const Outcome<InferenceResult> outcome = tickets[i].wait();
+        ASSERT_EQ(outcome.status(), ServeStatus::ok) << outcome.message();
+        const InferenceResult& result = outcome.value();
         const Tensor reference =
             fixture.direct_logits(request_tasks[i], request_images[i]);
         ASSERT_EQ(result.logits.numel(), 10);
@@ -350,8 +360,8 @@ TEST(ServerPool, TaskAffinityHydratesEachTaskOncePoolWide) {
         ServerPool pool(fixture.network, fixture.loader(), config);
         for (int round = 0; round < 6; ++round) {
             for (std::size_t t = 0; t < kTasks; ++t) {
-                pool.submit("task" + std::to_string(t),
-                            Tensor({3, 32, 32}, 0.1f));
+                run_ok(pool, "task" + std::to_string(t),
+                       Tensor({3, 32, 32}, 0.1f));
             }
         }
         pool.drain();
@@ -396,17 +406,17 @@ TEST(ServerPool, ShedModeRefusesDeterministically) {
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, gated_loader, config);
 
-    auto first = pool.submit_async("task0", Tensor({3, 32, 32}, 0.1f));
+    RequestTicket first = pool.submit("task0", Tensor({3, 32, 32}, 0.1f), {});
     loader_entered.get_future().wait();  // dispatch is now wedged
-    auto second = pool.submit_async("task0", Tensor({3, 32, 32}, 0.2f));
+    RequestTicket second =
+        pool.submit("task0", Tensor({3, 32, 32}, 0.2f), {});
     // Two in flight at max_pending=2: the third MUST be shed.
-    EXPECT_THROW(
-        pool.submit_async("task0", Tensor({3, 32, 32}, 0.3f)),
-        overload_error);
+    EXPECT_EQ(pool.run("task0", Tensor({3, 32, 32}, 0.3f)).status(),
+              ServeStatus::overloaded);
 
     gate.set_value();
-    first.get();
-    second.get();
+    EXPECT_TRUE(first.wait().ok());
+    EXPECT_TRUE(second.wait().ok());
     pool.drain();
 
     const PoolStats stats = pool.stats();
@@ -431,9 +441,11 @@ TEST(ServerPool, BlockModeNeverExceedsMaxPending) {
     for (int c = 0; c < 4; ++c) {
         clients.emplace_back([&, c] {
             for (int i = 0; i < 10; ++i) {
-                pool.submit("task" + std::to_string((c + i) % 2),
-                            Tensor({3, 32, 32}, 0.05f * c));
-                ++completed;
+                if (pool.run("task" + std::to_string((c + i) % 2),
+                             Tensor({3, 32, 32}, 0.05f * c))
+                        .ok()) {
+                    ++completed;
+                }
             }
         });
     }
@@ -473,8 +485,8 @@ TEST(ServerPool, ConcurrentClientsOnAllPolicies) {
             clients.emplace_back([&, t] {
                 Rng rng(static_cast<std::uint64_t>(50 + t));
                 for (int i = 0; i < kPerThread; ++i) {
-                    const InferenceResult result = pool.submit(
-                        "task" + std::to_string((t + i) % 3),
+                    const InferenceResult result = run_ok(
+                        pool, "task" + std::to_string((t + i) % 3),
                         Tensor::randn({3, 32, 32}, rng));
                     if (result.predicted_class >= 0 &&
                         result.predicted_class < 10) {
@@ -503,13 +515,14 @@ TEST(ServerPool, ConcurrentClientsOnAllPolicies) {
     }
 }
 
-TEST(ServerPool, SubmitAfterStopThrows) {
+TEST(ServerPool, SubmitAfterStopDeliversShutdown) {
     PoolFixture fixture(2);
     PoolConfig config;
     config.replica_count = 2;
     ServerPool pool(fixture.network, fixture.loader(), config);
     pool.stop();
-    EXPECT_THROW(pool.submit("task0", Tensor({3, 32, 32})), check_error);
+    EXPECT_EQ(pool.run("task0", Tensor({3, 32, 32})).status(),
+              ServeStatus::shutdown);
 }
 
 TEST(ServerPool, StatsMergeUsesPooledReservoirs) {
@@ -524,8 +537,8 @@ TEST(ServerPool, StatsMergeUsesPooledReservoirs) {
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, fixture.loader(), config);
     for (int i = 0; i < 10; ++i) {
-        pool.submit("task0", Tensor({3, 32, 32}, 0.1f));
-        pool.submit("task1", Tensor({3, 32, 32}, 0.2f));
+        run_ok(pool, "task0", Tensor({3, 32, 32}, 0.1f));
+        run_ok(pool, "task1", Tensor({3, 32, 32}, 0.2f));
     }
     pool.drain();
     const PoolStats stats = pool.stats();
@@ -553,8 +566,8 @@ TEST(ServerPool, CostAwareSchedulingCalibratesAndRetiresLoad) {
     ASSERT_NE(pool.cost_model(), nullptr);
 
     for (int i = 0; i < 16; ++i) {
-        pool.submit("task" + std::to_string(i % 2),
-                    Tensor({3, 32, 32}, 0.1f));
+        run_ok(pool, "task" + std::to_string(i % 2),
+               Tensor({3, 32, 32}, 0.1f));
     }
     pool.drain();
     const PoolStats stats = pool.stats();
@@ -604,10 +617,10 @@ TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
     EXPECT_EQ(pool.replica_count(), 3u);  // provisioned to max up front
     EXPECT_EQ(pool.active_replicas(), 1u);
 
-    std::vector<std::future<InferenceResult>> futures;
+    std::vector<RequestTicket> tickets;
     for (int i = 0; i < 48; ++i) {
-        futures.push_back(pool.submit_async(
-            "task" + std::to_string(i % 2), Tensor({3, 32, 32}, 0.1f)));
+        tickets.push_back(pool.submit("task" + std::to_string(i % 2),
+                                      Tensor({3, 32, 32}, 0.1f), {}));
     }
     // The scaler must activate extra replicas while the queue drains.
     std::size_t peak_active = pool.active_replicas();
@@ -617,8 +630,10 @@ TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
     }
     EXPECT_GE(peak_active, 2u);
     pool.drain();
-    for (std::future<InferenceResult>& future : futures) {
-        EXPECT_EQ(future.get().logits.shape().dim(-1), 10);
+    for (RequestTicket& ticket : tickets) {
+        const Outcome<InferenceResult> outcome = ticket.wait();
+        ASSERT_EQ(outcome.status(), ServeStatus::ok) << outcome.message();
+        EXPECT_EQ(outcome.value().logits.shape().dim(-1), 10);
     }
 
     // Idle backlog sits below shrink_backlog_us: the scaler must hand
@@ -696,8 +711,8 @@ TEST(ServerPool, ActiveCountStaysBoundedWhileAutoscalerRacesSubmits) {
     for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&pool, c] {
             for (int i = 0; i < kPerClient; ++i) {
-                pool.submit("task" + std::to_string(c % 2),
-                            Tensor({3, 32, 32}, 0.1f));
+                run_ok(pool, "task" + std::to_string(c % 2),
+                       Tensor({3, 32, 32}, 0.1f));
             }
         });
     }
@@ -749,14 +764,16 @@ TEST(ServerPool, StatsSnapshotStaysCoherentUnderConcurrentTraffic) {
         }
     });
 
-    std::vector<std::future<InferenceResult>> futures;
-    futures.reserve(32);
+    std::vector<RequestTicket> tickets;
+    tickets.reserve(32);
     for (int i = 0; i < 32; ++i) {
-        futures.push_back(pool.submit_async(
-            "task" + std::to_string(i % 2), Tensor({3, 32, 32}, 0.1f)));
+        tickets.push_back(pool.submit("task" + std::to_string(i % 2),
+                                      Tensor({3, 32, 32}, 0.1f), {}));
     }
-    for (std::future<InferenceResult>& future : futures) {
-        EXPECT_EQ(future.get().logits.shape().dim(-1), 10);
+    for (RequestTicket& ticket : tickets) {
+        const Outcome<InferenceResult> outcome = ticket.wait();
+        ASSERT_EQ(outcome.status(), ServeStatus::ok) << outcome.message();
+        EXPECT_EQ(outcome.value().logits.shape().dim(-1), 10);
     }
     pool.drain();
     done.store(true);
