@@ -188,8 +188,9 @@ int run(bool check_mode) {
         }
         const double rows_s = time_seconds(iters, [&] {
             gemm_rows(false, false, m, n, k, rows.data(),
-                      static_cast<std::int64_t>(rows.size()), 1.0f, a.data(),
-                      k, b.data(), n, 0.0f, c.data(), n);
+                      static_cast<std::int64_t>(rows.size()),
+                      /*out_rows=*/nullptr, m, 1.0f, a.data(), k, b.data(), n,
+                      0.0f, c.data(), n);
         });
         const double speedup = gemm_s / rows_s;
         const double measured =

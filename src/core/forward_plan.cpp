@@ -16,6 +16,20 @@ std::int64_t tensor_bytes(const Tensor& t) {
     return t.numel() * static_cast<std::int64_t>(sizeof(float));
 }
 
+/// Points `view` at the live channels of `site`'s mask when the site
+/// runs in threshold mode (the only mode with structural deadness);
+/// returns null otherwise.
+const nn::ActiveIndexView* live_channel_view(ActivationSite* site,
+                                             nn::ActiveIndexView& view) {
+    if (site == nullptr || site->mode() != ActivationMode::threshold) {
+        return nullptr;
+    }
+    const ActiveSet& as = site->mask().active_set();
+    view = {as.live_channels.data(),
+            static_cast<std::int64_t>(as.live_channels.size()), as.channels};
+    return &view;
+}
+
 }  // namespace
 
 ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
@@ -31,8 +45,8 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
     input_slab_ = Tensor(input_shape_);
 
     nn::Sequential& graph = network.network();
-    // Reserved up front: `last_buffer` points into steps_ during the
-    // build, so the vector must never reallocate.
+    // Reserved up front: `last_buffer` and `producing_conv` point into
+    // steps_ during the build, so the vector must never reallocate.
     steps_.reserve(graph.size());
     profiles_.reserve(graph.size());
     // Per-kind ordinals for profile names (conv1, bn1, act1, ...). bn
@@ -54,6 +68,9 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
     // compute layer (conv/bn/linear) replaces the values, killing it.
     ActivationSite* upstream_site = nullptr;
     bool upstream_channel_only = false;
+    // The conv step whose buffer reaches the next step unchanged but
+    // for in-place BatchNorm (null once anything else intervenes).
+    Step* producing_conv = nullptr;
 
     for (std::size_t i = 0; i < graph.size(); ++i) {
         nn::Module& layer = graph.layer(i);
@@ -114,6 +131,13 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
             step.kind = Step::Kind::activation;
             step.site = site;
             profile.name = "act" + std::to_string(++act_ordinal);
+            // The conv this site consumes (directly or through BN) only
+            // needs the rows the mask can let through.
+            if (producing_conv != nullptr &&
+                site->mask().activation_shape().dim(0) ==
+                    producing_conv->conv->out_channels()) {
+                producing_conv->output_site = site;
+            }
             upstream_site = site;
             upstream_channel_only = false;
         } else if (auto* pool = dynamic_cast<nn::MaxPool2d*>(&layer)) {
@@ -193,6 +217,11 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
         }
         steps_.push_back(std::move(step));
         profiles_.push_back(std::move(profile));
+        if (steps_.back().kind == Step::Kind::conv) {
+            producing_conv = &steps_.back();
+        } else if (steps_.back().kind != Step::Kind::batchnorm) {
+            producing_conv = nullptr;
+        }
         if (steps_.back().buffer.shape().rank() != 0) {
             last_buffer = &steps_.back().buffer;
         }
@@ -240,35 +269,35 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
         switch (step.kind) {
             case Step::Kind::conv: {
                 dense_macs_ += step.mac_per_k * step.k_total;
-                nn::ActiveIndexView view;
-                const nn::ActiveIndexView* viewp = nullptr;
-                if (sparse_enabled && step.input_site != nullptr &&
-                    step.input_site->mode() == ActivationMode::threshold) {
-                    const ActiveSet& as =
-                        step.input_site->mask().active_set();
-                    view = {as.live_channels.data(),
-                            static_cast<std::int64_t>(
-                                as.live_channels.size()),
-                            as.channels};
-                    viewp = &view;
+                nn::ActiveIndexView in_view;
+                nn::ActiveIndexView out_view;
+                const nn::ActiveIndexView* in_viewp = nullptr;
+                const nn::ActiveIndexView* out_viewp = nullptr;
+                if (sparse_enabled) {
+                    in_viewp = live_channel_view(step.input_site, in_view);
+                    out_viewp = live_channel_view(step.output_site, out_view);
                 }
-                bool compacted;
+                nn::ConvWork work;
                 if (!step.qweight.empty()) {
-                    compacted = step.conv->forward_into_quantized(
-                        *cur, workspace, step.buffer, step.qweight, viewp);
+                    work = step.conv->forward_into_quantized(
+                        *cur, workspace, step.buffer, step.qweight, in_viewp,
+                        out_viewp);
                     ++quantized_hits_;
                 } else {
-                    compacted = step.conv->forward_into(*cur, workspace,
-                                                        step.buffer, viewp);
+                    work = step.conv->forward_into(*cur, workspace,
+                                                   step.buffer, in_viewp,
+                                                   out_viewp);
                 }
-                if (compacted) {
+                const auto k_rows = static_cast<std::uint64_t>(work.k_rows);
+                const auto out_rows =
+                    static_cast<std::uint64_t>(work.out_channels);
+                const auto out_total =
+                    static_cast<std::uint64_t>(step.conv->out_channels());
+                if (k_rows < step.k_total || out_rows < out_total) {
                     ++sparse_hits_;
-                    const std::uint64_t kk = static_cast<std::uint64_t>(
-                        step.conv->kernel() * step.conv->kernel());
-                    skipped_macs_ +=
-                        step.mac_per_k *
-                        (step.k_total -
-                         static_cast<std::uint64_t>(view.count) * kk);
+                    skipped_macs_ += step.mac_per_k * step.k_total -
+                                     step.mac_per_k / out_total * out_rows *
+                                         k_rows;
                 }
                 cur = cur_mut = &step.buffer;
                 break;

@@ -29,7 +29,13 @@
 // policy is on and the site runs in threshold mode, the step hands the
 // mask's structural ActiveSet to the layer, which skips the dead rows'
 // MACs via row-compacted GEMM (bit-identical outputs — the skipped terms
-// are exact zeros). Hit and skipped-MAC counters accumulate across runs.
+// are exact zeros). A conv step also records the mask that consumes its
+// output (directly or through BatchNorm) and passes that mask's live
+// channels as output rows: a dead output channel is never computed,
+// because the mask zeroes it whatever it holds, so the stale rows never
+// reach a consumer. Both sides follow the same density cutoff. Hit and
+// skipped-MAC counters (input- and output-side skips alike) accumulate
+// across runs.
 //
 // Quantized execution: when the network's QuantizedExecution policy is
 // on at build time, conv/linear steps snapshot their weights as int8
@@ -155,6 +161,11 @@ private:
         /// Upstream mask whose structural zeros cover this step's input
         /// (null when no mask's deadness survives to here).
         ActivationSite* input_site = nullptr;
+        /// Conv only: the mask that directly consumes this step's output
+        /// (optionally through in-place BatchNorm). Its dead channels
+        /// are zeroed whatever the conv writes, so the conv computes
+        /// only the live ones.
+        ActivationSite* output_site = nullptr;
         /// Linear only: the mask's neuron indices equal this step's
         /// input-feature indices (no pool in between, numel matches), so
         /// the full neuron-level live list applies; otherwise only

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -141,9 +142,51 @@ std::int64_t Conv2d::workspace_floats(std::int64_t in_height,
                Workspace::aligned_floats(g.col_rows() * g.col_cols()));
 }
 
-bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
-                          Tensor& output,
-                          const ActiveIndexView* live_in_channels) {
+bool Conv2d::use_live(const ActiveIndexView* live, std::int64_t total,
+                      const char* side) const {
+    if (live == nullptr || live->indices == nullptr || live->all_live() ||
+        live->density() > sparse_density_cutoff_) {
+        return false;
+    }
+    MIME_REQUIRE(live->total == total,
+                 std::string("Conv2d live-") + side + "-channel view covers " +
+                     std::to_string(live->total) + " channels, layer has " +
+                     std::to_string(total));
+    return true;
+}
+
+Conv2d::LiveSelection Conv2d::select_live(
+    const ActiveIndexView* live_in_channels,
+    const ActiveIndexView* live_out_channels, std::int64_t ckk) {
+    LiveSelection sel;
+    sel.k_rows = ckk;
+    sel.out_channels = out_channels_;
+    if (use_live(live_in_channels, in_channels_, "input")) {
+        // Expand live channels to the K*K GEMM rows each one owns in
+        // the column matrix; ascending channels give ascending rows.
+        live_rows_.clear();
+        const std::int64_t kk = kernel_ * kernel_;
+        for (std::int64_t i = 0; i < live_in_channels->count; ++i) {
+            const std::int64_t base = live_in_channels->indices[i] * kk;
+            for (std::int64_t t = 0; t < kk; ++t) {
+                live_rows_.push_back(base + t);
+            }
+        }
+        sel.live_in = live_in_channels;
+        sel.rows = live_rows_.data();
+        sel.k_rows = static_cast<std::int64_t>(live_rows_.size());
+    }
+    if (use_live(live_out_channels, out_channels_, "output")) {
+        sel.out_rows = live_out_channels->indices;
+        sel.out_channels = live_out_channels->count;
+    }
+    return sel;
+}
+
+ConvWork Conv2d::forward_into(const Tensor& input, Workspace& workspace,
+                              Tensor& output,
+                              const ActiveIndexView* live_in_channels,
+                              const ActiveIndexView* live_out_channels) {
     const ConvGeometry g = geometry_for(input);
     const std::int64_t batch = input.shape().dim(0);
     const std::int64_t ho = g.out_height();
@@ -158,55 +201,33 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
                      Shape({batch, out_channels_, ho, wo}).to_string() +
                      ", got " + output.shape().to_string());
 
-    const bool sparse = live_in_channels != nullptr &&
-                        live_in_channels->indices != nullptr &&
-                        !live_in_channels->all_live() &&
-                        live_in_channels->density() <= sparse_density_cutoff_;
-    const std::int64_t* rows = nullptr;
-    std::int64_t row_count = ckk;
-    if (sparse) {
-        MIME_REQUIRE(live_in_channels->total == in_channels_,
-                     "Conv2d live-channel view covers " +
-                         std::to_string(live_in_channels->total) +
-                         " channels, layer has " +
-                         std::to_string(in_channels_));
-        // Expand live channels to the K*K GEMM rows each one owns in
-        // the column matrix; ascending channels give ascending rows.
-        live_rows_.clear();
-        const std::int64_t kk = kernel_ * kernel_;
-        for (std::int64_t i = 0; i < live_in_channels->count; ++i) {
-            const std::int64_t base = live_in_channels->indices[i] * kk;
-            for (std::int64_t t = 0; t < kk; ++t) {
-                live_rows_.push_back(base + t);
-            }
-        }
-        rows = live_rows_.data();
-        row_count = static_cast<std::int64_t>(live_rows_.size());
-    }
-
+    const LiveSelection sel =
+        select_live(live_in_channels, live_out_channels, ckk);
     const std::int64_t in_stride = in_channels_ * g.in_height * g.in_width;
     const std::int64_t out_stride = out_channels_ * spatial;
 
     auto run_sample = [&](std::int64_t n, float* cols,
                           ThreadPool* gemm_pool) {
         float* out = output.data() + n * out_stride;
-        if (sparse) {
+        if (sel.live_in != nullptr) {
             // Lower only the live channels; the dead channels' rows of
             // `cols` keep stale garbage the compacted GEMM never reads.
             im2col(g, input.data() + n * in_stride, cols,
-                   live_in_channels->indices, live_in_channels->count);
-            gemm_rows(false, false, out_channels_, spatial, ckk, rows,
-                      row_count, 1.0f, weight_.value.data(), ckk, cols,
-                      spatial, 0.0f, out, spatial, gemm_pool);
+                   sel.live_in->indices, sel.live_in->count);
         } else {
             im2col(g, input.data() + n * in_stride, cols);
-            gemm(false, false, out_channels_, spatial, ckk, 1.0f,
-                 weight_.value.data(), ckk, cols, spatial, 0.0f, out,
-                 spatial, gemm_pool);
         }
+        // Dead output channels are neither computed nor biased: their
+        // rows keep stale values that the threshold mask downstream
+        // zeroes.
+        gemm_rows(false, false, out_channels_, spatial, ckk, sel.rows,
+                  sel.k_rows, sel.out_rows, sel.out_channels, 1.0f,
+                  weight_.value.data(), ckk, cols, spatial, 0.0f, out,
+                  spatial, gemm_pool);
         if (bias_) {
             const float* b = bias_->value.data();
-            for (std::int64_t c = 0; c < out_channels_; ++c) {
+            for (std::int64_t i = 0; i < sel.out_channels; ++i) {
+                const std::int64_t c = sel.out_channel(i);
                 float* row = out + c * spatial;
                 for (std::int64_t s = 0; s < spatial; ++s) {
                     row[s] += b[c];
@@ -246,7 +267,7 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
         }
     }
     workspace.rewind(mark);
-    return sparse;
+    return {sel.k_rows, sel.out_channels};
 }
 
 std::size_t Conv2d::quantized_workspace_bytes(std::int64_t in_height,
@@ -267,10 +288,11 @@ std::size_t Conv2d::quantized_workspace_bytes(std::int64_t in_height,
                 Workspace::aligned_bytes(acc));
 }
 
-bool Conv2d::forward_into_quantized(const Tensor& input,
-                                    Workspace& workspace, Tensor& output,
-                                    const nn::QuantizedTensor& qweight,
-                                    const ActiveIndexView* live_in_channels) {
+ConvWork Conv2d::forward_into_quantized(
+    const Tensor& input, Workspace& workspace, Tensor& output,
+    const nn::QuantizedTensor& qweight,
+    const ActiveIndexView* live_in_channels,
+    const ActiveIndexView* live_out_channels) {
     const ConvGeometry g = geometry_for(input);
     const std::int64_t batch = input.shape().dim(0);
     const std::int64_t ho = g.out_height();
@@ -291,31 +313,10 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
                      "], layer needs [" + std::to_string(out_channels_) +
                      ", " + std::to_string(ckk) + "]");
 
-    const bool sparse = live_in_channels != nullptr &&
-                        live_in_channels->indices != nullptr &&
-                        !live_in_channels->all_live() &&
-                        live_in_channels->density() <= sparse_density_cutoff_;
-    const std::int64_t* rows = nullptr;
-    std::int64_t row_count = ckk;
-    if (sparse) {
-        MIME_REQUIRE(live_in_channels->total == in_channels_,
-                     "Conv2d live-channel view covers " +
-                         std::to_string(live_in_channels->total) +
-                         " channels, layer has " +
-                         std::to_string(in_channels_));
-        live_rows_.clear();
-        const std::int64_t kk = kernel_ * kernel_;
-        for (std::int64_t i = 0; i < live_in_channels->count; ++i) {
-            const std::int64_t base = live_in_channels->indices[i] * kk;
-            for (std::int64_t t = 0; t < kk; ++t) {
-                live_rows_.push_back(base + t);
-            }
-        }
-        rows = live_rows_.data();
-        row_count = static_cast<std::int64_t>(live_rows_.size());
-    }
-
-    const std::int64_t in_stride = in_channels_ * g.in_height * g.in_width;
+    const LiveSelection sel =
+        select_live(live_in_channels, live_out_channels, ckk);
+    const std::int64_t plane = g.in_height * g.in_width;
+    const std::int64_t in_stride = in_channels_ * plane;
     const std::int64_t out_stride = out_channels_ * spatial;
 
     const Workspace::Checkpoint mark = workspace.checkpoint();
@@ -345,23 +346,41 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
     auto run_sample = [&](std::int64_t n, std::int8_t* cols,
                           std::int32_t* acc, ThreadPool* gemm_pool) {
         const float* x = input.data() + n * in_stride;
-        const float absmax = nn::activation_absmax(x, in_stride);
-        x_scales[n] = absmax == 0.0f ? 0.0f : absmax / 127.0f;
-        nn::quantize_with_scale(x, in_stride,
-                                absmax == 0.0f ? 0.0f : 127.0f / absmax,
-                                qinput + n * in_stride);
-        if (sparse) {
-            im2col(g, qinput + n * in_stride, cols,
-                   live_in_channels->indices, live_in_channels->count);
-            qgemm_rows(out_channels_, spatial, ckk, rows, row_count, w_data,
-                       ckk, cols, spatial, acc, spatial, gemm_pool);
+        std::int8_t* qx = qinput + n * in_stride;
+        if (sel.live_in != nullptr) {
+            // Dead input channels are exact zeros, so the absmax over
+            // the live ones is the sample's absmax; only the live
+            // channels are quantized, since only they are lowered.
+            const ActiveIndexView& live = *sel.live_in;
+            float absmax = 0.0f;
+            for (std::int64_t i = 0; i < live.count; ++i) {
+                absmax = std::max(absmax,
+                                  nn::activation_absmax(
+                                      x + live.indices[i] * plane, plane));
+            }
+            const float inv = absmax == 0.0f ? 0.0f : 127.0f / absmax;
+            for (std::int64_t i = 0; i < live.count; ++i) {
+                const std::int64_t off = live.indices[i] * plane;
+                nn::quantize_with_scale(x + off, plane, inv, qx + off);
+            }
+            x_scales[n] = absmax == 0.0f ? 0.0f : absmax / 127.0f;
+            im2col(g, qx, cols, live.indices, live.count);
         } else {
-            im2col(g, qinput + n * in_stride, cols);
-            qgemm(out_channels_, spatial, ckk, w_data, ckk, cols, spatial,
-                  acc, spatial, gemm_pool);
+            const float absmax = nn::activation_absmax(x, in_stride);
+            x_scales[n] = absmax == 0.0f ? 0.0f : absmax / 127.0f;
+            nn::quantize_with_scale(x, in_stride,
+                                    absmax == 0.0f ? 0.0f : 127.0f / absmax,
+                                    qx);
+            im2col(g, qx, cols);
         }
+        qgemm_rows(out_channels_, spatial, ckk, sel.rows, sel.k_rows,
+                   sel.out_rows, sel.out_channels, w_data, ckk, cols,
+                   spatial, acc, spatial, gemm_pool);
+        // Dead output channels are never dequantized; the threshold mask
+        // downstream zeroes their stale rows.
         float* out = output.data() + n * out_stride;
-        for (std::int64_t c = 0; c < out_channels_; ++c) {
+        for (std::int64_t i = 0; i < sel.out_channels; ++i) {
+            const std::int64_t c = sel.out_channel(i);
             nn::dequantize_affine(acc + c * spatial, spatial,
                                   w_scales[c] * x_scales[n],
                                   bias != nullptr ? bias[c] : 0.0f,
@@ -395,7 +414,7 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
         }
     }
     workspace.rewind(mark);
-    return sparse;
+    return {sel.k_rows, sel.out_channels};
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {

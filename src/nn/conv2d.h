@@ -12,6 +12,14 @@
 
 namespace mime::nn {
 
+/// The share of its GEMM a planned conv forward computed: contraction
+/// rows of the column matrix (C*K*K when the input side ran dense) and
+/// output channels (Cout when the output side ran dense).
+struct ConvWork {
+    std::int64_t k_rows = 0;
+    std::int64_t out_channels = 0;
+};
+
 /// Conv2d lowered to GEMM via im2col. Weight layout is
 /// [out_channels, in_channels, k, k]; contiguity makes the same buffer a
 /// [out_channels, in_channels*k*k] row-major matrix for the GEMM.
@@ -44,10 +52,19 @@ public:
     /// threshold mask); if its density is at or below the cutoff, im2col
     /// lowers only the live channels and the GEMM contracts over their
     /// rows only — bit-identical to dense because the skipped rows
-    /// contribute exact zeros. Returns whether that compacted path ran.
-    bool forward_into(const Tensor& input, Workspace& workspace,
-                      Tensor& output,
-                      const ActiveIndexView* live_in_channels = nullptr);
+    /// contribute exact zeros.
+    ///
+    /// `live_out_channels`, when given, lists the output channels whose
+    /// values can survive the threshold mask that consumes this output
+    /// (directly or through BatchNorm); under the same cutoff rule only
+    /// those rows are computed and biased. The other rows of `output`
+    /// keep stale values, so the caller must guarantee that the mask
+    /// zeroes them before anything reads them. Computed rows are
+    /// bit-identical to dense. Returns the work actually done.
+    ConvWork forward_into(const Tensor& input, Workspace& workspace,
+                          Tensor& output,
+                          const ActiveIndexView* live_in_channels = nullptr,
+                          const ActiveIndexView* live_out_channels = nullptr);
 
     /// Int8 planned forward: quantizes each sample of the input (one
     /// dynamic scale per sample, so a hot outlier in one image never
@@ -57,14 +74,17 @@ public:
     /// (per-output-channel scales, prebuilt by the plan from the float
     /// master weights) into int32 accumulators, and dequantizes + bias
     /// into the float `output`.
-    /// Same live-channel compaction and return semantics as
-    /// forward_into; scratch comes from `workspace`
-    /// (quantized_workspace_bytes), so steady state allocates nothing.
-    bool forward_into_quantized(const Tensor& input, Workspace& workspace,
-                                Tensor& output,
-                                const nn::QuantizedTensor& qweight,
-                                const ActiveIndexView* live_in_channels =
-                                    nullptr);
+    /// Same live-channel semantics as forward_into: a compacted input
+    /// side also takes the absmax over, and quantizes, the live channels
+    /// only (the dead ones are exact zeros, so the scale is unchanged),
+    /// and dead output rows are never computed or dequantized. Scratch
+    /// comes from `workspace` (quantized_workspace_bytes), so steady
+    /// state allocates nothing.
+    ConvWork forward_into_quantized(
+        const Tensor& input, Workspace& workspace, Tensor& output,
+        const nn::QuantizedTensor& qweight,
+        const ActiveIndexView* live_in_channels = nullptr,
+        const ActiveIndexView* live_out_channels = nullptr);
 
     /// Validated convolution geometry for an input of the given spatial
     /// extents — the single source of truth for output sizes that both
@@ -90,8 +110,9 @@ public:
     /// given size into: min(pool size, batch) with a pool, else 1.
     std::int64_t conv_bands(std::int64_t batch) const;
 
-    /// Density above which forward_into ignores `live_in_channels` and
-    /// runs dense (compaction bookkeeping beats the win near 1.0).
+    /// Density above which forward_into ignores a live-channel view and
+    /// runs that side dense (compaction bookkeeping beats the win near
+    /// 1.0).
     void set_sparse_density_cutoff(double cutoff) noexcept {
         sparse_density_cutoff_ = cutoff;
     }
@@ -110,7 +131,28 @@ public:
     std::int64_t padding() const noexcept { return padding_; }
 
 private:
+    /// The compacted index lists one planned forward runs with; a null
+    /// list is the identity prefix of its count (see gemm_rows).
+    struct LiveSelection {
+        const ActiveIndexView* live_in = nullptr;  ///< null: dense input
+        const std::int64_t* rows = nullptr;
+        std::int64_t k_rows = 0;
+        const std::int64_t* out_rows = nullptr;
+        std::int64_t out_channels = 0;
+
+        std::int64_t out_channel(std::int64_t i) const {
+            return out_rows != nullptr ? out_rows[i] : i;
+        }
+    };
+
     ConvGeometry geometry_for(const Tensor& input) const;
+    /// Whether a live view applies under the density cutoff (validating
+    /// its extent when it does).
+    bool use_live(const ActiveIndexView* live, std::int64_t total,
+                  const char* side) const;
+    LiveSelection select_live(const ActiveIndexView* live_in_channels,
+                              const ActiveIndexView* live_out_channels,
+                              std::int64_t ckk);
 
     std::int64_t in_channels_;
     std::int64_t out_channels_;

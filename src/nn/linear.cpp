@@ -56,9 +56,10 @@ bool Linear::forward_compute(const Tensor& input, Tensor& output,
         // are exact zeros in `input`, so this bit-matches the dense
         // product (same microkernel, same surviving-term order).
         gemm_rows(false, true, batch, out_features_, in_features_,
-                  live_features->indices, live_features->count, 1.0f,
-                  input.data(), in_features_, weight_.value.data(),
-                  in_features_, 0.0f, output.data(), out_features_, pool_);
+                  live_features->indices, live_features->count,
+                  /*out_rows=*/nullptr, batch, 1.0f, input.data(),
+                  in_features_, weight_.value.data(), in_features_, 0.0f,
+                  output.data(), out_features_, pool_);
     } else {
         // out[N, O] = x[N, I] * W^T[I, O]
         gemm(false, true, batch, out_features_, in_features_, 1.0f,
@@ -166,9 +167,10 @@ bool Linear::forward_into_quantized(const Tensor& input,
         // column of xq is exactly zero (0 * inv_scale rounds to 0), so
         // this equals the dense int8 product exactly.
         qgemm_rows(batch, out_features_, in_features_,
-                   live_features->indices, live_features->count, xq,
-                   in_features_, qweight.data.data(), out_features_, acc,
-                   out_features_, pool_);
+                   live_features->indices, live_features->count,
+                   /*out_rows=*/nullptr, batch, xq, in_features_,
+                   qweight.data.data(), out_features_, acc, out_features_,
+                   pool_);
     } else {
         qgemm(batch, out_features_, in_features_, xq, in_features_,
               qweight.data.data(), out_features_, acc, out_features_, pool_);

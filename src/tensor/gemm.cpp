@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -74,16 +75,38 @@ inline void micro_row(float* crow, const float* arow,
         }
         _mm256_storeu_ps(crow + j, acc);
     }
-    for (; j < jend; ++j) {
-        float acc = crow[j];
+    // Narrow tail (fewer than 8 columns left, e.g. the 2x2 outputs of a
+    // deep conv): 4-wide FMA, then 1-3 masked lanes. Each lane's
+    // _mm_fmadd_ps is the same single-rounding fma the scalar loop did,
+    // so every element keeps its exact chain; masked-off lanes never
+    // touch memory past jend.
+    if (j + 4 <= jend) {
+        __m128 acc = _mm_loadu_ps(crow + j);
         for (std::int64_t p = 0; p < pack_cols; ++p) {
             const float av = arow[p];
             if (av == 0.0f) {
                 continue;
             }
-            acc = std::fma(av, brows[p][j], acc);
+            acc = _mm_fmadd_ps(_mm_set1_ps(av), _mm_loadu_ps(brows[p] + j),
+                               acc);
         }
-        crow[j] = acc;
+        _mm_storeu_ps(crow + j, acc);
+        j += 4;
+    }
+    if (j < jend) {
+        const __m128i lanes = _mm_cmpgt_epi32(
+            _mm_set1_epi32(static_cast<int>(jend - j)),
+            _mm_setr_epi32(0, 1, 2, 3));
+        __m128 acc = _mm_maskload_ps(crow + j, lanes);
+        for (std::int64_t p = 0; p < pack_cols; ++p) {
+            const float av = arow[p];
+            if (av == 0.0f) {
+                continue;
+            }
+            acc = _mm_fmadd_ps(_mm_set1_ps(av),
+                               _mm_maskload_ps(brows[p] + j, lanes), acc);
+        }
+        _mm_maskstore_ps(crow + j, lanes, acc);
     }
 }
 #else
@@ -104,17 +127,22 @@ inline void micro_row(float* crow, const float* arow,
 }
 #endif
 
-// Computes one row-band [m0, m1) of C without any threading. `rows`
-// restricts the contraction to the listed stored indices (identity when
-// null, in which case the contraction length is `row_count` itself).
+inline std::int64_t listed(const std::int64_t* list, std::int64_t p) {
+    return list != nullptr ? list[p] : p;
+}
+
+// Computes positions [m0, m1) of the output-row list without any
+// threading. `rows` restricts the contraction and `out_rows` the rows of
+// A and C to the listed stored indices; a null list is the identity, so
+// its length is the count itself.
 void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
                std::int64_t n, const std::int64_t* rows,
-               std::int64_t row_count, float alpha, const float* a,
-               std::int64_t lda, const float* b, std::int64_t ldb, float beta,
-               float* c, std::int64_t ldc) {
+               std::int64_t row_count, const std::int64_t* out_rows,
+               float alpha, const float* a, std::int64_t lda, const float* b,
+               std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
     // Scale C by beta once up front.
     for (std::int64_t i = m0; i < m1; ++i) {
-        float* crow = c + i * ldc;
+        float* crow = c + listed(out_rows, i) * ldc;
         if (beta == 0.0f) {
             std::fill(crow, crow + n, 0.0f);
         } else if (beta != 1.0f) {
@@ -140,15 +168,12 @@ void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
         // (one pass per K-block, amortized over every row of the band).
         if (!trans_b) {
             for (std::int64_t p = 0; p < pack_cols; ++p) {
-                const std::int64_t row =
-                    rows != nullptr ? rows[kk + p] : kk + p;
-                brows[p] = b + row * ldb;
+                brows[p] = b + listed(rows, kk + p) * ldb;
             }
         } else {
             b_pack.resize(static_cast<std::size_t>(pack_cols * n));
             for (std::int64_t p = 0; p < pack_cols; ++p) {
-                const std::int64_t row =
-                    rows != nullptr ? rows[kk + p] : kk + p;
+                const std::int64_t row = listed(rows, kk + p);
                 float* dst = b_pack.data() + p * n;
                 for (std::int64_t j = 0; j < n; ++j) {
                     dst[j] = b[j * ldb + row];
@@ -166,17 +191,17 @@ void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
             // to do, so results are unchanged.
             a_pack.resize(static_cast<std::size_t>(pack_rows * pack_cols));
             for (std::int64_t i = 0; i < pack_rows; ++i) {
+                const std::int64_t row = listed(out_rows, ii + i);
                 for (std::int64_t p = 0; p < pack_cols; ++p) {
-                    const std::int64_t col =
-                        rows != nullptr ? rows[kk + p] : kk + p;
                     a_pack[static_cast<std::size_t>(i * pack_cols + p)] =
-                        alpha * load(a, lda, ii + i, col, trans_a);
+                        alpha * load(a, lda, row, listed(rows, kk + p),
+                                     trans_a);
                 }
             }
             for (std::int64_t jj = 0; jj < n; jj += kBlockN) {
                 const std::int64_t jend = std::min(jj + kBlockN, n);
                 for (std::int64_t i = 0; i < pack_rows; ++i) {
-                    micro_row(c + (ii + i) * ldc,
+                    micro_row(c + listed(out_rows, ii + i) * ldc,
                               a_pack.data() + i * pack_cols, brows, pack_cols,
                               jj, jend);
                 }
@@ -185,14 +210,15 @@ void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
     }
 }
 
+// `m` counts the computed rows: the output-row list's length.
 void gemm_dispatch(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                    const std::int64_t* rows, std::int64_t row_count,
-                   float alpha, const float* a, std::int64_t lda,
-                   const float* b, std::int64_t ldb, float beta, float* c,
-                   std::int64_t ldc, ThreadPool* pool) {
+                   const std::int64_t* out_rows, float alpha, const float* a,
+                   std::int64_t lda, const float* b, std::int64_t ldb,
+                   float beta, float* c, std::int64_t ldc, ThreadPool* pool) {
     if (pool == nullptr || pool->size() <= 1 || m < 2 * kBlockM) {
-        gemm_band(trans_a, trans_b, 0, m, n, rows, row_count, alpha, a, lda,
-                  b, ldb, beta, c, ldc);
+        gemm_band(trans_a, trans_b, 0, m, n, rows, row_count, out_rows, alpha,
+                  a, lda, b, ldb, beta, c, ldc);
         return;
     }
 
@@ -203,11 +229,28 @@ void gemm_dispatch(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     for (std::int64_t b0 = 0; b0 < m; b0 += band_rows) {
         const std::int64_t b1 = std::min(b0 + band_rows, m);
         pool->submit([=] {
-            gemm_band(trans_a, trans_b, b0, b1, n, rows, row_count, alpha, a,
-                      lda, b, ldb, beta, c, ldc);
+            gemm_band(trans_a, trans_b, b0, b1, n, rows, row_count, out_rows,
+                      alpha, a, lda, b, ldb, beta, c, ldc);
         });
     }
     pool->wait_idle();
+}
+
+void require_index_list(const std::int64_t* list, std::int64_t count,
+                        std::int64_t extent, const char* what) {
+    MIME_REQUIRE(count >= 0 && count <= extent,
+                 std::string(what) + " count must be in [0, " +
+                     std::to_string(extent) + "]");
+    if (list == nullptr) {
+        return;
+    }
+    for (std::int64_t p = 0; p < count; ++p) {
+        MIME_REQUIRE(list[p] >= 0 && list[p] < extent &&
+                         (p == 0 || list[p] > list[p - 1]),
+                     std::string(what) +
+                         " indices must be strictly ascending within [0, " +
+                         std::to_string(extent) + ")");
+    }
 }
 
 }  // namespace
@@ -222,36 +265,30 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     if (m == 0 || n == 0) {
         return;
     }
-    gemm_dispatch(trans_a, trans_b, m, n, /*rows=*/nullptr, k, alpha, a, lda,
-                  b, ldb, beta, c, ldc, pool);
+    gemm_dispatch(trans_a, trans_b, m, n, /*rows=*/nullptr, k,
+                  /*out_rows=*/nullptr, alpha, a, lda, b, ldb, beta, c, ldc,
+                  pool);
 }
 
 void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::int64_t* rows,
-               std::int64_t row_count, float alpha, const float* a,
+               std::int64_t row_count, const std::int64_t* out_rows,
+               std::int64_t out_row_count, float alpha, const float* a,
                std::int64_t lda, const float* b, std::int64_t ldb,
                float beta, float* c, std::int64_t ldc, ThreadPool* pool) {
     MIME_REQUIRE(m >= 0 && n >= 0 && k >= 0,
                  "gemm_rows dimensions must be >= 0");
     MIME_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
                  "gemm_rows operands must be non-null");
-    MIME_REQUIRE(row_count >= 0 && row_count <= k,
-                 "gemm_rows row_count must be in [0, k]");
-    MIME_REQUIRE(rows != nullptr || row_count == 0,
-                 "gemm_rows needs a row list unless row_count is 0");
-    for (std::int64_t p = 0; p < row_count; ++p) {
-        MIME_REQUIRE(rows[p] >= 0 && rows[p] < k &&
-                         (p == 0 || rows[p] > rows[p - 1]),
-                     "gemm_rows row indices must be strictly ascending "
-                     "within [0, k)");
-    }
-    if (m == 0 || n == 0) {
+    require_index_list(rows, row_count, k, "gemm_rows row");
+    require_index_list(out_rows, out_row_count, m, "gemm_rows output row");
+    if (out_row_count == 0 || n == 0) {
         return;
     }
     // An empty live set still applies beta (C = beta * C), matching the
     // dense kernel contracted over an all-zero operand.
-    gemm_dispatch(trans_a, trans_b, m, n, rows, row_count, alpha, a, lda, b,
-                  ldb, beta, c, ldc, pool);
+    gemm_dispatch(trans_a, trans_b, out_row_count, n, rows, row_count,
+                  out_rows, alpha, a, lda, b, ldb, beta, c, ldc, pool);
 }
 
 const char* gemm_kernel_name() {

@@ -7,8 +7,8 @@
 // `gemm_reference` triple loop stays as the oracle tests validate
 // against. `gemm_rows` is the row-compacted entry point behind MIME's
 // sparse planned executor: it contracts over a caller-supplied live-row
-// index set only, skipping the multiply-accumulates of rows a threshold
-// mask provably zeroed.
+// index set and computes a caller-supplied set of output rows only,
+// skipping the multiply-accumulates a threshold mask provably zeroes.
 #pragma once
 
 #include <cstdint>
@@ -30,22 +30,29 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t ldc, ThreadPool* pool = nullptr);
 
 /// Row-compacted GEMM: contracts over the `row_count` indices in `rows`
-/// only, i.e.
+/// and computes only the `out_row_count` rows of C listed in `out_rows`,
+/// i.e. for each listed i
 ///   C[i,j] = alpha * sum_p op(A)[i, rows[p]] * op(B)[rows[p], j]
 ///            + beta * C[i,j].
 ///
-/// `rows` must be strictly ascending indices into [0, k) where k is the
-/// full contraction extent of the dense problem (used for validation
-/// only — the skipped rows are never touched, so the dead rows of a
-/// caller's B buffer may hold garbage). With beta == 0 the result
-/// bit-matches the dense gemm() whenever every skipped row contributes
-/// exactly zero (op(B) row all zeros, or op(A) column all zeros): both
-/// kernels share the same microkernel tiling, each output element's FMA
-/// chain visits the surviving terms in the same order, and a zero term
-/// never perturbs an accumulator that started from +0.
+/// Both lists must be strictly ascending: `rows` within [0, k), the full
+/// contraction extent of the dense problem, and `out_rows` within
+/// [0, m). A null list stands for the identity prefix 0..count-1, so
+/// (nullptr, k) contracts densely and (nullptr, m) computes every row.
+/// Skipped contraction rows are never read, so the dead rows of a
+/// caller's B buffer may hold garbage; rows of C (and A) outside
+/// `out_rows` are neither read nor written.
+///
+/// Each computed element keeps its dense FMA chain: the same terms in
+/// ascending stored order, exact-zero op(A) entries skipped. So with
+/// beta == 0 a listed row bit-matches the dense gemm() whenever every
+/// skipped contraction row contributes exactly zero (op(B) row all
+/// zeros, or op(A) column all zeros): a zero term never perturbs an
+/// accumulator that started from +0.
 void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::int64_t* rows,
-               std::int64_t row_count, float alpha, const float* a,
+               std::int64_t row_count, const std::int64_t* out_rows,
+               std::int64_t out_row_count, float alpha, const float* a,
                std::int64_t lda, const float* b, std::int64_t ldb, float beta,
                float* c, std::int64_t ldc, ThreadPool* pool = nullptr);
 

@@ -34,44 +34,57 @@ void im2col_channel(const ConvGeometry& g, const T* input, T* columns,
     const std::int64_t cols = ho * wo;
     const T* channel = input + c * g.in_height * g.in_width;
     std::int64_t row = c * g.kernel * g.kernel;
+    // 'Same' stride-1 convolution (every conv in the reproduced nets):
+    // the output plane has the input's width, so a tap's in-image rows
+    // are one contiguous run of the input shifted by (dy, dx). One copy
+    // per tap, then zero the rows past the top/bottom edge and the |dx|
+    // columns per row that wrapped around a side edge.
+    if (g.stride == 1 && wo == g.in_width && ho == g.in_height) {
+        const std::int64_t w = wo;
+        const std::int64_t plane = g.in_height * w;
+        for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+            for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
+                T* out_row = columns + row * cols;
+                const std::int64_t dy = ky - g.padding;
+                const std::int64_t dx = kx - g.padding;
+                const std::int64_t oy0 = std::max<std::int64_t>(0, -dy);
+                const std::int64_t oy1 =
+                    std::min<std::int64_t>(ho, g.in_height - dy);
+                if (oy0 >= oy1) {
+                    std::fill(out_row, out_row + cols, T{});
+                    continue;
+                }
+                std::fill(out_row, out_row + oy0 * w, T{});
+                std::fill(out_row + oy1 * w, out_row + cols, T{});
+                // Output element i reads input element i + shift; trim
+                // the ends that fall outside the plane (they are wrapped
+                // columns, zeroed below).
+                const std::int64_t shift = dy * w + dx;
+                const std::int64_t first = std::max(oy0 * w, -shift);
+                const std::int64_t last = std::min(oy1 * w, plane - shift);
+                if (first < last) {
+                    std::memcpy(out_row + first, channel + first + shift,
+                                static_cast<std::size_t>(last - first) *
+                                    sizeof(T));
+                }
+                const std::int64_t x0 =
+                    dx < 0 ? 0 : std::max<std::int64_t>(0, w - dx);
+                const std::int64_t x1 =
+                    dx < 0 ? std::min<std::int64_t>(w, -dx) : w;
+                // Column-major so each store is one element, not a
+                // memset call per row.
+                for (std::int64_t x = x0; x < x1; ++x) {
+                    for (std::int64_t oy = oy0; oy < oy1; ++oy) {
+                        out_row[oy * w + x] = T{};
+                    }
+                }
+            }
+        }
+        return;
+    }
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
         for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
             T* out_row = columns + row * cols;
-            if (g.stride == 1) {
-                // Stride 1 (every conv in the reproduced nets): each
-                // output row is one contiguous run of the input row
-                // between zero-padded edges — memset/memcpy instead of
-                // a bounds check per element. Bytes written are
-                // identical to the general loop below.
-                const std::int64_t x0 = std::max<std::int64_t>(
-                    0, g.padding - kx);
-                const std::int64_t x1 = std::min<std::int64_t>(
-                    wo, g.in_width + g.padding - kx);
-                for (std::int64_t oy = 0; oy < ho; ++oy) {
-                    const std::int64_t iy = oy + ky - g.padding;
-                    T* dst = out_row + oy * wo;
-                    if (iy < 0 || iy >= g.in_height || x0 >= x1) {
-                        std::memset(dst, 0,
-                                    static_cast<std::size_t>(wo) * sizeof(T));
-                        continue;
-                    }
-                    if (x0 > 0) {
-                        std::memset(dst, 0,
-                                    static_cast<std::size_t>(x0) * sizeof(T));
-                    }
-                    std::memcpy(dst + x0,
-                                channel + iy * g.in_width + x0 + kx -
-                                    g.padding,
-                                static_cast<std::size_t>(x1 - x0) *
-                                    sizeof(T));
-                    if (x1 < wo) {
-                        std::memset(dst + x1, 0,
-                                    static_cast<std::size_t>(wo - x1) *
-                                        sizeof(T));
-                    }
-                }
-                continue;
-            }
             for (std::int64_t oy = 0; oy < ho; ++oy) {
                 const std::int64_t iy = oy * g.stride + ky - g.padding;
                 if (iy < 0 || iy >= g.in_height) {

@@ -1,6 +1,7 @@
 #include "tensor/qgemm.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 
@@ -39,21 +40,24 @@ inline std::int32_t a_pair_combo(std::int8_t a0, std::int8_t a1) {
     return static_cast<std::int32_t>(hi | lo);
 }
 
-// One register tile: R rows (R in 1..4) by 16 columns of C, contracting
-// over the whole (possibly compacted) row list. B rows are widened to
-// i16 and interleaved per k-pair in registers — vpmaddwd then computes
-// a0*b[k0][j] + a1*b[k1][j] per i32 lane with no saturation (|operand|
-// <= 127, so each pair sum is at most 2*127^2, exact in i32). The
-// unpack puts columns in the order {0-3, 8-11} / {4-7, 12-15}; the
-// permute at store time restores linear order.
+// One register tile: R rows (R in 1..4, stored indices `ri`) by 16
+// columns of C, contracting over the whole (possibly compacted) row
+// list. B rows are widened to i16 and interleaved per k-pair in
+// registers — vpmaddwd then computes a0*b[k0][j] + a1*b[k1][j] per i32
+// lane with no saturation (|operand| <= 128, so each pair sum is at most
+// 2*128^2, exact in i32). The unpack puts columns in the order
+// {0-3, 8-11} / {4-7, 12-15}; the permute at store time restores linear
+// order.
 template <int R>
 inline void qtile16(const std::int8_t* a, std::int64_t lda,
                     const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
-                    std::int64_t ldc, std::int64_t i0, std::int64_t j0,
+                    std::int64_t ldc, const std::int64_t* ri, std::int64_t j0,
                     const std::int64_t* rows, std::int64_t row_count) {
+    const std::int8_t* arow[R];
     __m256i acc_lo[R];
     __m256i acc_hi[R];
     for (int r = 0; r < R; ++r) {
+        arow[r] = a + ri[r] * lda;
         acc_lo[r] = _mm256_setzero_si256();
         acc_hi[r] = _mm256_setzero_si256();
     }
@@ -68,9 +72,8 @@ inline void qtile16(const std::int8_t* a, std::int64_t lda,
         const __m256i blo = _mm256_unpacklo_epi16(w0, w1);
         const __m256i bhi = _mm256_unpackhi_epi16(w0, w1);
         for (int r = 0; r < R; ++r) {
-            const std::int8_t* arow = a + (i0 + r) * lda;
             const __m256i av =
-                _mm256_set1_epi32(a_pair_combo(arow[k0], arow[k1]));
+                _mm256_set1_epi32(a_pair_combo(arow[r][k0], arow[r][k1]));
             acc_lo[r] =
                 _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(av, blo));
             acc_hi[r] =
@@ -87,8 +90,8 @@ inline void qtile16(const std::int8_t* a, std::int64_t lda,
         const __m256i blo = _mm256_unpacklo_epi16(w0, zero);
         const __m256i bhi = _mm256_unpackhi_epi16(w0, zero);
         for (int r = 0; r < R; ++r) {
-            const __m256i av = _mm256_set1_epi32(
-                a_pair_combo(a[(i0 + r) * lda + k0], 0));
+            const __m256i av =
+                _mm256_set1_epi32(a_pair_combo(arow[r][k0], 0));
             acc_lo[r] =
                 _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(av, blo));
             acc_hi[r] =
@@ -96,7 +99,7 @@ inline void qtile16(const std::int8_t* a, std::int64_t lda,
         }
     }
     for (int r = 0; r < R; ++r) {
-        std::int32_t* crow = c + (i0 + r) * ldc + j0;
+        std::int32_t* crow = c + ri[r] * ldc + j0;
         _mm256_storeu_si256(
             reinterpret_cast<__m256i*>(crow),
             _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x20));
@@ -106,43 +109,127 @@ inline void qtile16(const std::int8_t* a, std::int64_t lda,
     }
 }
 
-void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
-                const std::int64_t* rows, std::int64_t row_count,
-                const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-                std::int64_t ldb, std::int32_t* c, std::int64_t ldc) {
-    const std::int64_t n16 = n - n % 16;
-    for (std::int64_t i = m0; i < m1; i += 4) {
-        const std::int64_t rows_n = std::min<std::int64_t>(4, m1 - i);
-        for (std::int64_t j = 0; j < n16; j += 16) {
-            switch (rows_n) {
-                case 4:
-                    qtile16<4>(a, lda, b, ldb, c, ldc, i, j, rows, row_count);
-                    break;
-                case 3:
-                    qtile16<3>(a, lda, b, ldb, c, ldc, i, j, rows, row_count);
-                    break;
-                case 2:
-                    qtile16<2>(a, lda, b, ldb, c, ldc, i, j, rows, row_count);
-                    break;
-                default:
-                    qtile16<1>(a, lda, b, ldb, c, ldc, i, j, rows, row_count);
-                    break;
+// Widens `cols` (<= W) int8s of one B row to i16 lanes, reading exactly
+// those bytes: a narrow tail must never run past the end of B.
+template <int W>
+inline __m128i load_narrow(const std::int8_t* p, std::int64_t cols) {
+    std::uint64_t bytes = 0;
+    if (cols == W) {
+        std::memcpy(&bytes, p, W);
+    } else {
+        std::memcpy(&bytes, p, static_cast<std::size_t>(cols));
+    }
+    return _mm_cvtepi8_epi16(
+        _mm_cvtsi64_si128(static_cast<std::int64_t>(bytes)));
+}
+
+// The narrow tile for the column tail: R rows by `cols` (<= W, W in
+// {4, 8}) columns in 128-bit registers, the same k-pair vpmaddwd scheme
+// as qtile16. Padding lanes load zeros and are never stored.
+template <int R, int W>
+inline void qtile_narrow(const std::int8_t* a, std::int64_t lda,
+                         const std::int8_t* b, std::int64_t ldb,
+                         std::int32_t* c, std::int64_t ldc,
+                         const std::int64_t* ri, std::int64_t j0,
+                         std::int64_t cols, const std::int64_t* rows,
+                         std::int64_t row_count) {
+    const std::int8_t* arow[R];
+    __m128i acc_lo[R];
+    __m128i acc_hi[R];
+    for (int r = 0; r < R; ++r) {
+        arow[r] = a + ri[r] * lda;
+        acc_lo[r] = _mm_setzero_si128();
+        acc_hi[r] = _mm_setzero_si128();
+    }
+    for (std::int64_t p = 0; p < row_count; p += 2) {
+        const std::int64_t k0 = stored_row(rows, p);
+        const bool pair = p + 1 < row_count;
+        const std::int64_t k1 = pair ? stored_row(rows, p + 1) : k0;
+        const __m128i w0 = load_narrow<W>(b + k0 * ldb + j0, cols);
+        const __m128i w1 = pair ? load_narrow<W>(b + k1 * ldb + j0, cols)
+                                : _mm_setzero_si128();
+        const __m128i blo = _mm_unpacklo_epi16(w0, w1);
+        const __m128i bhi = _mm_unpackhi_epi16(w0, w1);
+        for (int r = 0; r < R; ++r) {
+            const __m128i av = _mm_set1_epi32(
+                a_pair_combo(arow[r][k0], pair ? arow[r][k1] : 0));
+            acc_lo[r] = _mm_add_epi32(acc_lo[r], _mm_madd_epi16(av, blo));
+            if constexpr (W == 8) {
+                acc_hi[r] =
+                    _mm_add_epi32(acc_hi[r], _mm_madd_epi16(av, bhi));
             }
         }
-        // Column tail: exact integer math makes any accumulation order
-        // equivalent, so a plain scalar loop needs no order matching.
-        for (std::int64_t r = 0; r < rows_n; ++r) {
-            const std::int8_t* arow = a + (i + r) * lda;
-            std::int32_t* crow = c + (i + r) * ldc;
-            for (std::int64_t j = n16; j < n; ++j) {
-                std::int32_t acc = 0;
-                for (std::int64_t p = 0; p < row_count; ++p) {
-                    const std::int64_t k = stored_row(rows, p);
-                    acc += static_cast<std::int32_t>(arow[k]) *
-                           static_cast<std::int32_t>(b[k * ldb + j]);
-                }
-                crow[j] = acc;
+    }
+    for (int r = 0; r < R; ++r) {
+        std::int32_t* crow = c + ri[r] * ldc + j0;
+        if (cols == W) {
+            _mm_storeu_si128(reinterpret_cast<__m128i*>(crow), acc_lo[r]);
+            if constexpr (W == 8) {
+                _mm_storeu_si128(reinterpret_cast<__m128i*>(crow + 4),
+                                 acc_hi[r]);
             }
+        } else {
+            alignas(16) std::int32_t lanes[W];
+            _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc_lo[r]);
+            if constexpr (W == 8) {
+                _mm_store_si128(reinterpret_cast<__m128i*>(lanes + 4),
+                                acc_hi[r]);
+            }
+            std::memcpy(crow, lanes,
+                        static_cast<std::size_t>(cols) * sizeof(*crow));
+        }
+    }
+}
+
+template <int R>
+void qrow_group(const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
+                std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
+                const std::int64_t* ri, std::int64_t n,
+                const std::int64_t* rows, std::int64_t row_count) {
+    std::int64_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+        qtile16<R>(a, lda, b, ldb, c, ldc, ri, j, rows, row_count);
+    }
+    // Column tail (< 16): an 8-wide tile, then a 4-wide one that also
+    // takes the last 1-3 columns. Integer math is exact, so the split
+    // needs no order matching.
+    if (j + 8 <= n) {
+        qtile_narrow<R, 8>(a, lda, b, ldb, c, ldc, ri, j, 8, rows,
+                           row_count);
+        j += 8;
+    }
+    while (j < n) {
+        const std::int64_t cols = std::min<std::int64_t>(4, n - j);
+        qtile_narrow<R, 4>(a, lda, b, ldb, c, ldc, ri, j, cols, rows,
+                           row_count);
+        j += cols;
+    }
+}
+
+void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
+                const std::int64_t* rows, std::int64_t row_count,
+                const std::int64_t* out_rows, const std::int8_t* a,
+                std::int64_t lda, const std::int8_t* b, std::int64_t ldb,
+                std::int32_t* c, std::int64_t ldc) {
+    for (std::int64_t i = m0; i < m1; i += 4) {
+        const std::int64_t rows_n = std::min<std::int64_t>(4, m1 - i);
+        std::int64_t ri[4];
+        for (std::int64_t r = 0; r < rows_n; ++r) {
+            ri[r] = stored_row(out_rows, i + r);
+        }
+        switch (rows_n) {
+            case 4:
+                qrow_group<4>(a, lda, b, ldb, c, ldc, ri, n, rows, row_count);
+                break;
+            case 3:
+                qrow_group<3>(a, lda, b, ldb, c, ldc, ri, n, rows, row_count);
+                break;
+            case 2:
+                qrow_group<2>(a, lda, b, ldb, c, ldc, ri, n, rows, row_count);
+                break;
+            default:
+                qrow_group<1>(a, lda, b, ldb, c, ldc, ri, n, rows, row_count);
+                break;
         }
     }
 }
@@ -151,12 +238,14 @@ void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
 
 void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
                 const std::int64_t* rows, std::int64_t row_count,
-                const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-                std::int64_t ldb, std::int32_t* c, std::int64_t ldc) {
+                const std::int64_t* out_rows, const std::int8_t* a,
+                std::int64_t lda, const std::int8_t* b, std::int64_t ldb,
+                std::int32_t* c, std::int64_t ldc) {
     for (std::int64_t i = m0; i < m1; ++i) {
-        std::int32_t* crow = c + i * ldc;
+        const std::int64_t row = stored_row(out_rows, i);
+        std::int32_t* crow = c + row * ldc;
         std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(*crow));
-        const std::int8_t* arow = a + i * lda;
+        const std::int8_t* arow = a + row * lda;
         for (std::int64_t p = 0; p < row_count; ++p) {
             const std::int64_t k = stored_row(rows, p);
             const auto av = static_cast<std::int32_t>(arow[k]);
@@ -173,12 +262,15 @@ void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
 
 #endif
 
+// `m` counts the computed rows: the output-row list's length.
 void qgemm_dispatch(std::int64_t m, std::int64_t n, const std::int64_t* rows,
-                    std::int64_t row_count, const std::int8_t* a,
-                    std::int64_t lda, const std::int8_t* b, std::int64_t ldb,
-                    std::int32_t* c, std::int64_t ldc, ThreadPool* pool) {
+                    std::int64_t row_count, const std::int64_t* out_rows,
+                    const std::int8_t* a, std::int64_t lda,
+                    const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
+                    std::int64_t ldc, ThreadPool* pool) {
     if (pool == nullptr || pool->size() <= 1 || m < 2 * kQBlockM) {
-        qgemm_band(0, m, n, rows, row_count, a, lda, b, ldb, c, ldc);
+        qgemm_band(0, m, n, rows, row_count, out_rows, a, lda, b, ldb, c,
+                   ldc);
         return;
     }
     const std::int64_t bands =
@@ -188,10 +280,28 @@ void qgemm_dispatch(std::int64_t m, std::int64_t n, const std::int64_t* rows,
     for (std::int64_t b0 = 0; b0 < m; b0 += band_rows) {
         const std::int64_t b1 = std::min(b0 + band_rows, m);
         pool->submit([=] {
-            qgemm_band(b0, b1, n, rows, row_count, a, lda, b, ldb, c, ldc);
+            qgemm_band(b0, b1, n, rows, row_count, out_rows, a, lda, b, ldb,
+                       c, ldc);
         });
     }
     pool->wait_idle();
+}
+
+void require_index_list(const std::int64_t* list, std::int64_t count,
+                        std::int64_t extent, const char* what) {
+    MIME_REQUIRE(count >= 0 && count <= extent,
+                 std::string(what) + " count must be in [0, " +
+                     std::to_string(extent) + "]");
+    if (list == nullptr) {
+        return;
+    }
+    for (std::int64_t p = 0; p < count; ++p) {
+        MIME_REQUIRE(list[p] >= 0 && list[p] < extent &&
+                         (p == 0 || list[p] > list[p - 1]),
+                     std::string(what) +
+                         " indices must be strictly ascending within [0, " +
+                         std::to_string(extent) + ")");
+    }
 }
 
 void validate_common(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -216,31 +326,26 @@ void qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
     if (m == 0 || n == 0) {
         return;
     }
-    qgemm_dispatch(m, n, /*rows=*/nullptr, k, a, lda, b, ldb, c, ldc, pool);
+    qgemm_dispatch(m, n, /*rows=*/nullptr, k, /*out_rows=*/nullptr, a, lda,
+                   b, ldb, c, ldc, pool);
 }
 
 void qgemm_rows(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int64_t* rows, std::int64_t row_count,
+                const std::int64_t* out_rows, std::int64_t out_row_count,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
                 ThreadPool* pool) {
     validate_common(m, n, k, a, b, c);
-    MIME_REQUIRE(row_count >= 0 && row_count <= k,
-                 "qgemm_rows row_count must be in [0, k]");
-    MIME_REQUIRE(rows != nullptr || row_count == 0,
-                 "qgemm_rows needs a row list unless row_count is 0");
-    for (std::int64_t p = 0; p < row_count; ++p) {
-        MIME_REQUIRE(rows[p] >= 0 && rows[p] < k &&
-                         (p == 0 || rows[p] > rows[p - 1]),
-                     "qgemm_rows row indices must be strictly ascending "
-                     "within [0, k)");
-    }
-    if (m == 0 || n == 0) {
+    require_index_list(rows, row_count, k, "qgemm_rows row");
+    require_index_list(out_rows, out_row_count, m, "qgemm_rows output row");
+    if (out_row_count == 0 || n == 0) {
         return;
     }
     // An empty live set writes C = 0 (the contraction over nothing),
     // matching the dense kernel against an all-zero operand.
-    qgemm_dispatch(m, n, rows, row_count, a, lda, b, ldb, c, ldc, pool);
+    qgemm_dispatch(out_row_count, n, rows, row_count, out_rows, a, lda, b,
+                   ldb, c, ldc, pool);
 }
 
 const char* qgemm_kernel_name() {

@@ -16,10 +16,11 @@
 // bit-for-bit regardless of accumulation order — the float kernels'
 // careful order-matching is unnecessary here.
 //
-// `qgemm_rows` is the row-compacted variant composing with PR 6's
-// ActiveSet live-row lists: it contracts over a caller-supplied strictly
-// ascending index set only, skipping rows a threshold mask provably
-// zeroed. Skipped rows of B may hold garbage.
+// `qgemm_rows` is the row-compacted variant composing with the
+// ActiveSet live lists: it contracts over a caller-supplied strictly
+// ascending index set and computes a caller-supplied set of output rows
+// only, skipping the work a threshold mask provably zeroes. Skipped rows
+// of B may hold garbage.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +42,18 @@ void qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
            ThreadPool* pool = nullptr);
 
-/// Row-compacted variant: C[i,j] = sum_p A[i, rows[p]] * B[rows[p], j]
-/// over the `row_count` indices in `rows` (strictly ascending within
-/// [0, k)). Skipped rows of B are never read. With int operands the
-/// result equals the dense qgemm whenever every skipped row contributes
-/// zero — exactly, not just bit-compatibly.
+/// Row-compacted variant: for each of the `out_row_count` rows i listed
+/// in `out_rows`, C[i,j] = sum_p A[i, rows[p]] * B[rows[p], j] over the
+/// `row_count` indices in `rows`. Both lists are strictly ascending,
+/// within [0, k) and [0, m); a null list stands for the identity prefix
+/// 0..count-1, so (nullptr, k) contracts densely and (nullptr, m)
+/// computes every row. Skipped rows of B are never read; rows of A and
+/// C outside `out_rows` are neither read nor written. With int operands
+/// a listed row equals the dense qgemm whenever every skipped
+/// contraction row contributes zero — exactly, not just bit-compatibly.
 void qgemm_rows(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int64_t* rows, std::int64_t row_count,
+                const std::int64_t* out_rows, std::int64_t out_row_count,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
                 ThreadPool* pool = nullptr);

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -147,8 +150,8 @@ TEST(GemmRows, MatchesCompactedReference) {
     std::vector<float> c_rows = c_ref;
     gemm_reference(false, false, m, n, rc, 1.1f, a_c.data(), rc, b_c.data(),
                    n, 0.5f, c_ref.data(), n);
-    gemm_rows(false, false, m, n, k, rows.data(), rc, 1.1f, a.data(), k,
-              b.data(), n, 0.5f, c_rows.data(), n);
+    gemm_rows(false, false, m, n, k, rows.data(), rc, nullptr, m, 1.1f,
+              a.data(), k, b.data(), n, 0.5f, c_rows.data(), n);
     expect_close(c_ref, c_rows);
 }
 
@@ -174,8 +177,8 @@ TEST(GemmRows, BitMatchesDenseWhenSkippedRowsAreZero) {
     gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
          c_dense.data(), n);
     gemm_rows(false, false, m, n, k, rows.data(),
-              static_cast<std::int64_t>(rows.size()), 1.0f, a.data(), k,
-              b.data(), n, 0.0f, c_sparse.data(), n);
+              static_cast<std::int64_t>(rows.size()), nullptr, m, 1.0f,
+              a.data(), k, b.data(), n, 0.0f, c_sparse.data(), n);
     // Bit-exact, not just close: the contract the sparse planned
     // executor relies on.
     EXPECT_EQ(0, std::memcmp(c_dense.data(), c_sparse.data(),
@@ -207,8 +210,8 @@ TEST(GemmRows, TransBBitMatchesDenseWhenSkippedRowsAreZero) {
     gemm(false, true, m, n, k, 1.0f, a.data(), k, b.data(), k, 0.0f,
          c_dense.data(), n);
     gemm_rows(false, true, m, n, k, rows.data(),
-              static_cast<std::int64_t>(rows.size()), 1.0f, a.data(), k,
-              b.data(), k, 0.0f, c_sparse.data(), n);
+              static_cast<std::int64_t>(rows.size()), nullptr, m, 1.0f,
+              a.data(), k, b.data(), k, 0.0f, c_sparse.data(), n);
     EXPECT_EQ(0, std::memcmp(c_dense.data(), c_sparse.data(),
                              c_dense.size() * sizeof(float)));
 }
@@ -228,8 +231,8 @@ TEST(GemmRows, FullRowListBitMatchesDense) {
     std::vector<float> c_sparse = c_dense;
     gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
          c_dense.data(), n);
-    gemm_rows(false, false, m, n, k, rows.data(), k, 1.0f, a.data(), k,
-              b.data(), n, 0.0f, c_sparse.data(), n);
+    gemm_rows(false, false, m, n, k, rows.data(), k, nullptr, m, 1.0f,
+              a.data(), k, b.data(), n, 0.0f, c_sparse.data(), n);
     EXPECT_EQ(0, std::memcmp(c_dense.data(), c_sparse.data(),
                              c_dense.size() * sizeof(float)));
 }
@@ -238,8 +241,8 @@ TEST(GemmRows, EmptyRowListAppliesBeta) {
     const std::vector<float> a{1.0f, 2.0f};
     const std::vector<float> b{3.0f, 4.0f};
     std::vector<float> c{5.0f, 6.0f};
-    gemm_rows(false, false, 1, 2, 2, nullptr, 0, 1.0f, a.data(), 2, b.data(),
-              2, 0.5f, c.data(), 2);
+    gemm_rows(false, false, 1, 2, 2, nullptr, 0, nullptr, 1, 1.0f, a.data(), 2,
+              b.data(), 2, 0.5f, c.data(), 2);
     EXPECT_FLOAT_EQ(c[0], 2.5f);
     EXPECT_FLOAT_EQ(c[1], 3.0f);
 }
@@ -249,12 +252,153 @@ TEST(GemmRows, RejectsUnsortedRows) {
     const std::vector<float> b{3.0f, 4.0f};
     std::vector<float> c{0.0f, 0.0f};
     const std::vector<std::int64_t> bad{1, 0};
-    EXPECT_THROW(gemm_rows(false, false, 1, 2, 2, bad.data(), 2, 1.0f,
-                           a.data(), 2, b.data(), 2, 0.0f, c.data(), 2),
+    EXPECT_THROW(gemm_rows(false, false, 1, 2, 2, bad.data(), 2, nullptr, 1,
+                           1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(), 2),
                  check_error);
     const std::vector<std::int64_t> oob{0, 2};
-    EXPECT_THROW(gemm_rows(false, false, 1, 2, 2, oob.data(), 2, 1.0f,
-                           a.data(), 2, b.data(), 2, 0.0f, c.data(), 2),
+    EXPECT_THROW(gemm_rows(false, false, 1, 2, 2, oob.data(), 2, nullptr, 1,
+                           1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(), 2),
+                 check_error);
+}
+
+/// Sequential-std::fma oracle for one element of gemm_rows (no
+/// transposes): beta-scale C, then one fma per listed contraction row in
+/// ascending order, skipping exact-zero alpha*A entries.
+float fma_chain(const std::vector<float>& a, const std::vector<float>& b,
+                std::int64_t k, std::int64_t n, std::int64_t i, std::int64_t j,
+                const std::vector<std::int64_t>& rows, float alpha,
+                float beta, float c) {
+    float acc = beta == 0.0f ? 0.0f : (beta == 1.0f ? c : c * beta);
+    for (const std::int64_t p : rows) {
+        const float av = alpha * a[static_cast<std::size_t>(i * k + p)];
+        if (av == 0.0f) {
+            continue;
+        }
+        acc = std::fma(av, b[static_cast<std::size_t>(p * n + j)], acc);
+    }
+    return acc;
+}
+
+bool same_bits(float x, float y) {
+    return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+TEST(GemmRows, OutputRowListsBitMatchFmaOracleAndDenseForEveryNarrowN) {
+    // m crosses the 64-row block, k the 256-row block; every N in 1..33
+    // covers the 16/8-wide kernels and the 4-wide and masked 1-3 column
+    // tails.
+    const std::int64_t m = 70;
+    const std::int64_t k = 300;
+    std::vector<std::int64_t> out_rows;
+    for (std::int64_t i = 0; i < m; ++i) {
+        if (i % 3 != 1) {
+            out_rows.push_back(i);
+        }
+    }
+    std::vector<std::int64_t> live;
+    std::vector<std::int64_t> all(static_cast<std::size_t>(k));
+    for (std::int64_t p = 0; p < k; ++p) {
+        all[static_cast<std::size_t>(p)] = p;
+        if (p % 4 != 2) {
+            live.push_back(p);
+        }
+    }
+    const float sentinel = -1234.5f;
+    const float garbage = std::numeric_limits<float>::quiet_NaN();
+    for (std::int64_t n = 1; n <= 33; ++n) {
+        Rng rng(static_cast<std::uint64_t>(100 + n));
+        auto a = random_matrix(m, k, rng);
+        for (std::size_t e = 0; e < a.size(); e += 7) {
+            a[e] = 0.0f;  // exact zeros the kernel must skip
+        }
+        const auto b = random_matrix(k, n, rng);
+        for (const bool compact_k : {false, true}) {
+            const std::vector<std::int64_t>& rows = compact_k ? live : all;
+            // The kernel sees garbage in the dead rows of B; the dense
+            // run sees zeros there, so its skipped terms are exact zeros.
+            std::vector<float> b_kernel = b;
+            std::vector<float> b_dense = b;
+            for (std::int64_t p = 0; p < k; ++p) {
+                if (compact_k && p % 4 == 2) {
+                    std::fill_n(b_kernel.begin() + p * n, n, garbage);
+                    std::fill_n(b_dense.begin() + p * n, n, 0.0f);
+                }
+            }
+            std::vector<float> dense(static_cast<std::size_t>(m * n), 0.0f);
+            gemm(false, false, m, n, k, 1.0f, a.data(), k, b_dense.data(), n,
+                 0.0f, dense.data(), n);
+            for (const auto& [alpha, beta] :
+                 {std::pair{1.0f, 0.0f}, std::pair{0.75f, 0.5f}}) {
+                std::vector<float> c(static_cast<std::size_t>(m * n),
+                                     sentinel);
+                gemm_rows(false, false, m, n, k,
+                          compact_k ? live.data() : nullptr,
+                          static_cast<std::int64_t>(rows.size()),
+                          out_rows.data(),
+                          static_cast<std::int64_t>(out_rows.size()), alpha,
+                          a.data(), k, b_kernel.data(), n, beta, c.data(), n);
+                for (std::int64_t i = 0; i < m; ++i) {
+                    const bool listed = i % 3 != 1;
+                    for (std::int64_t j = 0; j < n; ++j) {
+                        const float got = c[static_cast<std::size_t>(i * n + j)];
+                        if (!listed) {
+                            ASSERT_TRUE(same_bits(got, sentinel))
+                                << "unlisted row " << i << " written, n=" << n;
+                            continue;
+                        }
+                        ASSERT_TRUE(same_bits(
+                            got, fma_chain(a, b_kernel, k, n, i, j, rows,
+                                           alpha, beta, sentinel)))
+                            << "n=" << n << " compact_k=" << compact_k
+                            << " alpha=" << alpha << " (" << i << "," << j
+                            << ")";
+                        if (beta == 0.0f) {
+                            ASSERT_TRUE(same_bits(
+                                got,
+                                dense[static_cast<std::size_t>(i * n + j)]))
+                                << "n=" << n << " compact_k=" << compact_k
+                                << " (" << i << "," << j << ")";
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(GemmRows, ThreadedOutputRowListBitMatchesSingle) {
+    Rng rng(45);
+    const std::int64_t m = 300;
+    const std::int64_t n = 20;
+    const std::int64_t k = 50;
+    const auto a = random_matrix(m, k, rng);
+    const auto b = random_matrix(k, n, rng);
+    std::vector<std::int64_t> out_rows;
+    for (std::int64_t i = 0; i < m; i += 2) {
+        out_rows.push_back(i);
+    }
+    const auto count = static_cast<std::int64_t>(out_rows.size());
+    std::vector<float> c1(static_cast<std::size_t>(m * n), 9.0f);
+    std::vector<float> c2 = c1;
+    gemm_rows(false, false, m, n, k, nullptr, k, out_rows.data(), count,
+              1.0f, a.data(), k, b.data(), n, 0.0f, c1.data(), n);
+    ThreadPool pool(4);
+    gemm_rows(false, false, m, n, k, nullptr, k, out_rows.data(), count,
+              1.0f, a.data(), k, b.data(), n, 0.0f, c2.data(), n, &pool);
+    EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)));
+}
+
+TEST(GemmRows, RejectsUnsortedOutputRows) {
+    const std::vector<float> a{1.0f, 2.0f, 3.0f, 4.0f};
+    const std::vector<float> b{3.0f, 4.0f, 5.0f, 6.0f};
+    std::vector<float> c(4, 0.0f);
+    const std::vector<std::int64_t> bad{1, 0};
+    EXPECT_THROW(gemm_rows(false, false, 2, 2, 2, nullptr, 2, bad.data(), 2,
+                           1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(), 2),
+                 check_error);
+    const std::vector<std::int64_t> oob{2};
+    EXPECT_THROW(gemm_rows(false, false, 2, 2, 2, nullptr, 2, oob.data(), 1,
+                           1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(), 2),
                  check_error);
 }
 

@@ -1,7 +1,9 @@
 // Tests for im2col / col2im lowering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -176,6 +178,89 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::tuple{1, 5, 3, 1}, std::tuple{2, 8, 3, 2},
                       std::tuple{4, 6, 1, 1}, std::tuple{3, 9, 5, 2},
                       std::tuple{2, 4, 2, 2}));
+
+/// Naive oracle: one bounds check per column-matrix element.
+template <typename T>
+std::vector<T> im2col_oracle(const ConvGeometry& g, const std::vector<T>& x) {
+    const std::int64_t ho = g.out_height();
+    const std::int64_t wo = g.out_width();
+    std::vector<T> cols(static_cast<std::size_t>(g.col_rows() * ho * wo));
+    for (std::int64_t c = 0; c < g.in_channels; ++c) {
+        for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+            for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+                const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
+                for (std::int64_t oy = 0; oy < ho; ++oy) {
+                    for (std::int64_t ox = 0; ox < wo; ++ox) {
+                        const std::int64_t iy = oy * g.stride + ky - g.padding;
+                        const std::int64_t ix = ox * g.stride + kx - g.padding;
+                        const bool in = iy >= 0 && iy < g.in_height &&
+                                        ix >= 0 && ix < g.in_width;
+                        cols[static_cast<std::size_t>((row * ho + oy) * wo +
+                                                      ox)] =
+                            in ? x[static_cast<std::size_t>(
+                                     (c * g.in_height + iy) * g.in_width + ix)]
+                               : T{};
+                    }
+                }
+            }
+        }
+    }
+    return cols;
+}
+
+TEST(Im2col, MatchesOracleAcrossGeometriesFloatAndInt8) {
+    // Same-padding stride-1 shapes (the one-copy-per-tap path) at every
+    // small width, plus valid, over-padded and strided ones.
+    std::vector<ConvGeometry> geometries;
+    for (const std::int64_t size : {1, 2, 3, 4, 7, 16}) {
+        for (const std::int64_t k : {1, 3, 5}) {
+            geometries.push_back(make_geometry(3, size, size, k, 1, k / 2));
+        }
+        geometries.push_back(make_geometry(2, size, size + 2, 3, 1, 1));
+    }
+    geometries.push_back(make_geometry(2, 6, 6, 3, 1, 0));
+    geometries.push_back(make_geometry(2, 5, 5, 3, 1, 2));
+    geometries.push_back(make_geometry(2, 9, 9, 3, 2, 1));
+    Rng rng(13);
+    for (const ConvGeometry& g : geometries) {
+        const std::int64_t in_size = g.in_channels * g.in_height * g.in_width;
+        std::vector<float> xf(static_cast<std::size_t>(in_size));
+        std::vector<std::int8_t> xq(static_cast<std::size_t>(in_size));
+        for (std::size_t i = 0; i < xf.size(); ++i) {
+            xf[i] = static_cast<float>(rng.normal());
+            xq[i] = static_cast<std::int8_t>(
+                static_cast<std::int64_t>(rng.uniform_index(255)) - 127);
+        }
+        const std::string where = "c" + std::to_string(g.in_channels) + " " +
+                                  std::to_string(g.in_height) + "x" +
+                                  std::to_string(g.in_width) + " k" +
+                                  std::to_string(g.kernel) + " s" +
+                                  std::to_string(g.stride) + " p" +
+                                  std::to_string(g.padding);
+        // Stale values in the destination must be overwritten.
+        std::vector<float> cf(
+            static_cast<std::size_t>(g.col_rows() * g.col_cols()), 7.0f);
+        std::vector<std::int8_t> cq(cf.size(), std::int8_t{7});
+        im2col(g, xf.data(), cf.data());
+        im2col(g, xq.data(), cq.data());
+        EXPECT_EQ(cf, im2col_oracle(g, xf)) << where;
+        EXPECT_EQ(cq, im2col_oracle(g, xq)) << where;
+
+        // Live-channel lowering writes exactly the live channels' rows.
+        const std::int64_t live[] = {0, 2};
+        const std::int64_t live_count = g.in_channels > 2 ? 2 : 1;
+        std::vector<float> pf(cf.size(), 7.0f);
+        im2col(g, xf.data(), pf.data(), live, live_count);
+        const std::int64_t block = g.kernel * g.kernel * g.col_cols();
+        for (std::int64_t c = 0; c < g.in_channels; ++c) {
+            const bool is_live = c == 0 || (c == 2 && live_count == 2);
+            for (std::int64_t e = c * block; e < (c + 1) * block; ++e) {
+                const auto i = static_cast<std::size_t>(e);
+                ASSERT_EQ(pf[i], is_live ? cf[i] : 7.0f) << where;
+            }
+        }
+    }
+}
 
 }  // namespace
 }  // namespace mime

@@ -60,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, QgemmParamTest,
     ::testing::Values(QgemmCase{1, 1, 1},
                       QgemmCase{1, 16, 2},
-                      QgemmCase{3, 5, 7},     // scalar column tail only
+                      QgemmCase{3, 5, 7},     // narrow column tail only
                       QgemmCase{4, 16, 8},    // exactly one 4x16 tile
                       QgemmCase{5, 17, 9},    // every tail at once, odd k
                       QgemmCase{64, 64, 64},
@@ -174,8 +174,8 @@ TEST(QgemmRows, MatchesCompactedReference) {
     std::vector<std::int32_t> c_ref(static_cast<std::size_t>(m * n), 1);
     std::vector<std::int32_t> c_rows(static_cast<std::size_t>(m * n), 2);
     qgemm_reference(m, n, rc, a_c.data(), rc, b_c.data(), n, c_ref.data(), n);
-    qgemm_rows(m, n, k, rows.data(), rc, a.data(), k, b.data(), n,
-               c_rows.data(), n);
+    qgemm_rows(m, n, k, rows.data(), rc, nullptr, m, a.data(), k, b.data(),
+               n, c_rows.data(), n);
     expect_bit_equal(c_ref, c_rows);
 }
 
@@ -199,7 +199,7 @@ TEST(QgemmRows, BitMatchesDenseWhenSkippedRowsAreZero) {
     std::vector<std::int32_t> c_sparse = c_dense;
     qgemm(m, n, k, a.data(), k, b.data(), n, c_dense.data(), n);
     qgemm_rows(m, n, k, rows.data(), static_cast<std::int64_t>(rows.size()),
-               a.data(), k, b.data(), n, c_sparse.data(), n);
+               nullptr, m, a.data(), k, b.data(), n, c_sparse.data(), n);
     expect_bit_equal(c_dense, c_sparse);
 }
 
@@ -215,7 +215,7 @@ TEST(QgemmRows, SkippedRowsOfBAreNeverRead) {
     std::vector<std::int64_t> rows{0, 5, 11, 12, 23};
     std::vector<std::int32_t> c_before(static_cast<std::size_t>(m * n), 0);
     qgemm_rows(m, n, k, rows.data(), static_cast<std::int64_t>(rows.size()),
-               a.data(), k, b.data(), n, c_before.data(), n);
+               nullptr, m, a.data(), k, b.data(), n, c_before.data(), n);
     for (std::int64_t r = 0; r < k; ++r) {
         if (std::find(rows.begin(), rows.end(), r) == rows.end()) {
             std::fill(b.begin() + r * n, b.begin() + (r + 1) * n,
@@ -224,7 +224,7 @@ TEST(QgemmRows, SkippedRowsOfBAreNeverRead) {
     }
     std::vector<std::int32_t> c_after(static_cast<std::size_t>(m * n), 0);
     qgemm_rows(m, n, k, rows.data(), static_cast<std::int64_t>(rows.size()),
-               a.data(), k, b.data(), n, c_after.data(), n);
+               nullptr, m, a.data(), k, b.data(), n, c_after.data(), n);
     expect_bit_equal(c_before, c_after);
 }
 
@@ -242,10 +242,10 @@ TEST(QgemmRows, ThreadedBitMatchesSingle) {
     std::vector<std::int32_t> c1(static_cast<std::size_t>(m * n), 0);
     std::vector<std::int32_t> c2 = c1;
     qgemm_rows(m, n, k, rows.data(), static_cast<std::int64_t>(rows.size()),
-               a.data(), k, b.data(), n, c1.data(), n);
+               nullptr, m, a.data(), k, b.data(), n, c1.data(), n);
     ThreadPool pool(4);
     qgemm_rows(m, n, k, rows.data(), static_cast<std::int64_t>(rows.size()),
-               a.data(), k, b.data(), n, c2.data(), n, &pool);
+               nullptr, m, a.data(), k, b.data(), n, c2.data(), n, &pool);
     expect_bit_equal(c1, c2);
 }
 
@@ -253,7 +253,8 @@ TEST(QgemmRows, EmptyRowListWritesZero) {
     const std::vector<std::int8_t> a{1, 2};
     const std::vector<std::int8_t> b{3, 4};
     std::vector<std::int32_t> c{5, 6};
-    qgemm_rows(1, 2, 2, nullptr, 0, a.data(), 2, b.data(), 2, c.data(), 2);
+    qgemm_rows(1, 2, 2, nullptr, 0, nullptr, 1, a.data(), 2, b.data(), 2,
+               c.data(), 2);
     EXPECT_EQ(c[0], 0);
     EXPECT_EQ(c[1], 0);
 }
@@ -263,12 +264,107 @@ TEST(QgemmRows, RejectsUnsortedOrOutOfRangeRows) {
     const std::vector<std::int8_t> b{3, 4};
     std::vector<std::int32_t> c{0, 0};
     const std::vector<std::int64_t> bad{1, 0};
-    EXPECT_THROW(qgemm_rows(1, 2, 2, bad.data(), 2, a.data(), 2, b.data(), 2,
-                            c.data(), 2),
+    EXPECT_THROW(qgemm_rows(1, 2, 2, bad.data(), 2, nullptr, 1, a.data(), 2,
+                            b.data(), 2, c.data(), 2),
                  check_error);
     const std::vector<std::int64_t> oob{0, 2};
-    EXPECT_THROW(qgemm_rows(1, 2, 2, oob.data(), 2, a.data(), 2, b.data(), 2,
-                            c.data(), 2),
+    EXPECT_THROW(qgemm_rows(1, 2, 2, oob.data(), 2, nullptr, 1, a.data(), 2,
+                            b.data(), 2, c.data(), 2),
+                 check_error);
+}
+
+TEST(QgemmRows, OutputRowListsEqualReferenceForEveryNarrowN) {
+    // Every N in 1..33 covers the 16-wide tile and the 8-wide, 4-wide
+    // and partial narrow tiles; 70 listed-or-not rows cover every
+    // 4-row register group size; odd k covers the unpaired tail.
+    const std::int64_t m = 70;
+    const std::int64_t k = 151;
+    std::vector<std::int64_t> out_rows;
+    for (std::int64_t i = 0; i < m; ++i) {
+        if (i % 3 != 1) {
+            out_rows.push_back(i);
+        }
+    }
+    std::vector<std::int64_t> live;
+    for (std::int64_t p = 0; p < k; ++p) {
+        if (p % 4 != 2) {
+            live.push_back(p);
+        }
+    }
+    const std::int32_t sentinel = -987654;
+    for (std::int64_t n = 1; n <= 33; ++n) {
+        Rng rng(static_cast<std::uint64_t>(200 + n));
+        auto a = random_int8(m, k, rng);
+        for (std::size_t e = 0; e < a.size(); e += 7) {
+            a[e] = 0;
+        }
+        const auto b = random_int8(k, n, rng);
+        for (const bool compact_k : {false, true}) {
+            // Dead rows of B hold saturating garbage for the kernel and
+            // zeros for the reference.
+            std::vector<std::int8_t> b_kernel = b;
+            std::vector<std::int8_t> b_ref = b;
+            for (std::int64_t p = 0; p < k; ++p) {
+                if (compact_k && p % 4 == 2) {
+                    std::fill_n(b_kernel.begin() + p * n, n, std::int8_t{-128});
+                    std::fill_n(b_ref.begin() + p * n, n, std::int8_t{0});
+                }
+            }
+            std::vector<std::int32_t> ref(static_cast<std::size_t>(m * n));
+            qgemm_reference(m, n, k, a.data(), k, b_ref.data(), n, ref.data(),
+                            n);
+            std::vector<std::int32_t> c(static_cast<std::size_t>(m * n),
+                                        sentinel);
+            qgemm_rows(m, n, k, compact_k ? live.data() : nullptr,
+                       compact_k ? static_cast<std::int64_t>(live.size()) : k,
+                       out_rows.data(),
+                       static_cast<std::int64_t>(out_rows.size()), a.data(),
+                       k, b_kernel.data(), n, c.data(), n);
+            for (std::int64_t i = 0; i < m; ++i) {
+                for (std::int64_t j = 0; j < n; ++j) {
+                    const auto e = static_cast<std::size_t>(i * n + j);
+                    ASSERT_EQ(c[e], i % 3 != 1 ? ref[e] : sentinel)
+                        << "n=" << n << " compact_k=" << compact_k << " ("
+                        << i << "," << j << ")";
+                }
+            }
+        }
+    }
+}
+
+TEST(QgemmRows, ThreadedOutputRowListBitMatchesSingle) {
+    Rng rng(46);
+    const std::int64_t m = 300;
+    const std::int64_t n = 12;
+    const std::int64_t k = 40;
+    const auto a = random_int8(m, k, rng);
+    const auto b = random_int8(k, n, rng);
+    std::vector<std::int64_t> out_rows;
+    for (std::int64_t i = 1; i < m; i += 2) {
+        out_rows.push_back(i);
+    }
+    const auto count = static_cast<std::int64_t>(out_rows.size());
+    std::vector<std::int32_t> c1(static_cast<std::size_t>(m * n), 3);
+    std::vector<std::int32_t> c2 = c1;
+    qgemm_rows(m, n, k, nullptr, k, out_rows.data(), count, a.data(), k,
+               b.data(), n, c1.data(), n);
+    ThreadPool pool(4);
+    qgemm_rows(m, n, k, nullptr, k, out_rows.data(), count, a.data(), k,
+               b.data(), n, c2.data(), n, &pool);
+    expect_bit_equal(c1, c2);
+}
+
+TEST(QgemmRows, RejectsUnsortedOrOutOfRangeOutputRows) {
+    const std::vector<std::int8_t> a{1, 2, 3, 4};
+    const std::vector<std::int8_t> b{3, 4, 5, 6};
+    std::vector<std::int32_t> c(4, 0);
+    const std::vector<std::int64_t> bad{1, 1};
+    EXPECT_THROW(qgemm_rows(2, 2, 2, nullptr, 2, bad.data(), 2, a.data(), 2,
+                            b.data(), 2, c.data(), 2),
+                 check_error);
+    const std::vector<std::int64_t> oob{2};
+    EXPECT_THROW(qgemm_rows(2, 2, 2, nullptr, 2, oob.data(), 1, a.data(), 2,
+                            b.data(), 2, c.data(), 2),
                  check_error);
 }
 

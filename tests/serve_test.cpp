@@ -17,6 +17,7 @@
 #include "serve/request_queue.h"
 #include "serve/threshold_cache.h"
 #include "tensor/tensor_ops.h"
+#include "serving_tasks.h"
 
 namespace mime::serve {
 namespace {
@@ -601,13 +602,15 @@ struct ServeFixture {
     ServeFixture() {
         network.set_training(false);
         network.set_mode(core::ActivationMode::threshold);
-        // Three tasks with visibly different threshold sets.
+        // Three tasks with their own thresholds, live sets and heads.
+        // Thresholds stay small: from about 0.2 up, tiny-VGG's signal
+        // dies before the classifier and the logits are the head bias.
         const std::vector<std::pair<std::string, float>> tasks = {
-            {"alpha", 0.02f}, {"beta", 0.3f}, {"gamma", 1.0f}};
+            {"alpha", 0.0f}, {"beta", 0.01f}, {"gamma", 0.02f}};
         for (const auto& [name, value] : tasks) {
-            network.reset_thresholds(value);
-            adaptations.push_back(
-                core::capture_adaptation(network, name, 10));
+            adaptations.push_back(testing_support::make_distinct_task(
+                network, name, value,
+                static_cast<std::int64_t>(adaptations.size())));
         }
     }
 
@@ -629,12 +632,7 @@ struct ServeFixture {
             if (adaptation.name != task) {
                 continue;
             }
-            network.load_thresholds(adaptation.thresholds);
-            auto backbone = network.backbone_parameters();
-            backbone[backbone.size() - 2]->value.copy_from(
-                adaptation.head_weight);
-            backbone[backbone.size() - 1]->value.copy_from(
-                adaptation.head_bias);
+            testing_support::install_task(network, adaptation);
             return network.forward(stack({image}));
         }
         throw check_error("task", __FILE__, __LINE__, "unknown task");
@@ -708,18 +706,9 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
 }
 
 TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
-    // The fixture's tasks differ only in thresholds; give beta its own
-    // classifier head so a head that fails to reach the int8 plan shows
-    // up in the logits.
-    const auto give_beta_own_head = [](ServeFixture& f) {
-        Rng head_rng(23);
-        core::TaskAdaptation& beta = f.adaptations[1];
-        ASSERT_EQ(beta.name, "beta");
-        beta.head_weight = Tensor::randn(beta.head_weight.shape(), head_rng);
-        beta.head_bias = Tensor::randn(beta.head_bias.shape(), head_rng);
-    };
+    // Every fixture task has its own classifier head, so a head that
+    // fails to reach the int8 plan shows up in the logits.
     ServeFixture fixture;
-    give_beta_own_head(fixture);
     ServerConfig config;
     config.batcher.max_batch_size = 4;
     config.batcher.max_wait = std::chrono::microseconds(2000);
@@ -766,7 +755,6 @@ TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
     // plan serves the head installed now, not the one it was built
     // under.
     ServeFixture fresh_fixture;
-    give_beta_own_head(fresh_fixture);
     InferenceServer fresh(fresh_fixture.network, fresh_fixture.loader(),
                           config);
     const InferenceResult beta_only = run_ok(fresh, "beta", image.clone());

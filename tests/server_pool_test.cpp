@@ -18,6 +18,7 @@
 #include "serve/routing.h"
 #include "serve/server_pool.h"
 #include "tensor/tensor_ops.h"
+#include "serving_tasks.h"
 
 namespace mime::serve {
 namespace {
@@ -212,9 +213,12 @@ struct PoolFixture {
         network.set_training(false);
         network.set_mode(core::ActivationMode::threshold);
         for (std::size_t t = 0; t < task_count; ++t) {
-            network.reset_thresholds(0.02f + 0.2f * static_cast<float>(t));
-            adaptations.push_back(core::capture_adaptation(
-                network, "task" + std::to_string(t), 10));
+            // Small thresholds keep tiny-VGG's signal alive to the
+            // classifier, so every task's live sets shape its logits.
+            adaptations.push_back(testing_support::make_distinct_task(
+                network, "task" + std::to_string(t),
+                0.005f * static_cast<float>(t),
+                static_cast<std::int64_t>(t)));
         }
     }
 
@@ -236,12 +240,7 @@ struct PoolFixture {
             if (adaptation.name != task) {
                 continue;
             }
-            network.load_thresholds(adaptation.thresholds);
-            auto backbone = network.backbone_parameters();
-            backbone[backbone.size() - 2]->value.copy_from(
-                adaptation.head_weight);
-            backbone[backbone.size() - 1]->value.copy_from(
-                adaptation.head_bias);
+            testing_support::install_task(network, adaptation);
             return network.forward(stack({image}));
         }
         throw check_error("task", __FILE__, __LINE__, "unknown task");

@@ -25,6 +25,8 @@
 #include "serve/server_pool.h"
 #include "serve/service.h"
 #include "serve/service_state.h"
+#include "serving_tasks.h"
+#include "tensor/tensor_ops.h"
 
 namespace mime::serve {
 namespace {
@@ -46,9 +48,12 @@ struct ServiceFixture {
         network.set_training(false);
         network.set_mode(core::ActivationMode::threshold);
         for (std::size_t t = 0; t < task_count; ++t) {
-            network.reset_thresholds(0.02f + 0.2f * static_cast<float>(t));
-            adaptations.push_back(core::capture_adaptation(
-                network, "task" + std::to_string(t), 10));
+            // Small thresholds keep tiny-VGG's signal alive to the
+            // classifier, so every task's live sets shape its logits.
+            adaptations.push_back(testing_support::make_distinct_task(
+                network, "task" + std::to_string(t),
+                0.005f * static_cast<float>(t),
+                static_cast<std::int64_t>(t)));
         }
     }
 
@@ -381,6 +386,33 @@ TEST_P(ServiceApiTest, CallbackAndFutureDeliverBitIdenticalResults) {
 // Request tracing conformance (ISSUE: every span the serving path emits,
 // in order, on both backends; read-after-delivery only). TSan runs these.
 // ---------------------------------------------------------------------------
+
+TEST_P(ServiceApiTest, EveryTaskBitMatchesDirectForwardAcrossSwaps) {
+    // Tasks differ in thresholds, live sets and heads, and the served
+    // network swaps between them, so a stale install of any of the
+    // three changes the logits.
+    ServiceFixture fixture;
+    ServiceFixture reference;  // same seeds: same weights and tasks
+    auto service =
+        make_backend(GetParam().kind, fixture, fixture.loader());
+    Rng rng(83);
+    const Tensor image = Tensor::randn({3, 32, 32}, rng);
+    for (const std::size_t t : {0, 1, 2, 0}) {
+        const core::TaskAdaptation& task = reference.adaptations[t];
+        Outcome<InferenceResult> outcome =
+            service->run(task.name, image.clone());
+        ASSERT_EQ(outcome.status(), ServeStatus::ok) << outcome.message();
+        testing_support::install_task(reference.network, task);
+        const Tensor expected = reference.network.forward(stack({image}));
+        const Tensor& served = outcome.value().logits;
+        ASSERT_EQ(served.numel(), expected.numel());
+        for (std::int64_t c = 0; c < expected.numel(); ++c) {
+            ASSERT_EQ(served[c], expected[c])
+                << task.name << " class " << c;
+        }
+    }
+    service->stop();
+}
 
 TEST_P(ServiceApiTest, TracedRequestExposesOrderedSpanTimeline) {
     ServiceFixture fixture;

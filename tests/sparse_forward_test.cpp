@@ -40,11 +40,12 @@ core::MimeNetworkConfig cnn_config(bool batchnorm) {
     return config;
 }
 
-/// Structurally prunes every site: channel c stays live iff
-/// c % keep_mod == live_rem; live channels keep a small finite
-/// threshold so they still mask data-dependently.
+/// Structurally prunes every site: channel c of site s stays live iff
+/// (c + s * site_shift) % keep_mod == live_rem; live channels keep the
+/// finite `live_threshold` so they still mask data-dependently.
 void prune_channels(core::MimeNetwork& net, std::int64_t keep_mod,
-                    std::int64_t live_rem = 0) {
+                    std::int64_t live_rem = 0, std::int64_t site_shift = 0,
+                    float live_threshold = 0.05f) {
     for (std::int64_t s = 0; s < net.site_count(); ++s) {
         core::ThresholdMask& mask = net.site(s).mask();
         Tensor& t = mask.thresholds().value;
@@ -52,8 +53,8 @@ void prune_channels(core::MimeNetwork& net, std::int64_t keep_mod,
         const std::int64_t channels = shape.dim(0);
         const std::int64_t extent = shape.numel() / channels;
         for (std::int64_t c = 0; c < channels; ++c) {
-            const float value = (c % keep_mod == live_rem)
-                                    ? 0.05f
+            const float value = ((c + s * site_shift) % keep_mod == live_rem)
+                                    ? live_threshold
                                     : core::kPrunedThreshold;
             for (std::int64_t i = 0; i < extent; ++i) {
                 t.data()[c * extent + i] = value;
@@ -271,6 +272,155 @@ TEST(SparseForward, ZeroAllocationsAfterWarmUp) {
     EXPECT_EQ(Tensor::storage_allocation_count() - alloc0, 0)
         << "sparse planned path must stay allocation-free after warm-up, "
            "including across task swaps";
+}
+
+// (use vgg?, batchnorm?)
+using ArchCase = std::tuple<bool, bool>;
+
+class OutputSkipTest : public ::testing::TestWithParam<ArchCase> {
+protected:
+    core::MimeNetworkConfig config() const {
+        const auto [use_vgg, batchnorm] = GetParam();
+        return use_vgg ? vgg_config(batchnorm) : cnn_config(batchnorm);
+    }
+
+    /// Two tasks whose live output channels differ at every site, so a
+    /// reused plan leaves task A's values in rows task B never computes.
+    /// The live pattern also shifts from site to site, so a conv's
+    /// input and output live sets differ. Live neurons pass every
+    /// positive value: a larger threshold lets tiny-VGG's signal die
+    /// before the classifier, and all-zero logits would prove nothing.
+    static void make_tasks(core::MimeNetwork& net, core::ThresholdSet& a,
+                           core::ThresholdSet& b) {
+        prune_channels(net, 2, 0, /*site_shift=*/1, /*live_threshold=*/0.0f);
+        a = net.snapshot_thresholds("a");
+        prune_channels(net, 4, 1, /*site_shift=*/1, /*live_threshold=*/0.0f);
+        b = net.snapshot_thresholds("b");
+    }
+
+    static void prepare(core::MimeNetwork& net) {
+        net.set_training(false);
+        net.set_eval_mode(true);
+        net.set_mode(core::ActivationMode::threshold);
+        net.set_sparse_execution({true, 0.85});
+    }
+};
+
+TEST_P(OutputSkipTest, ReusedFloatPlanBitMatchesFreshForwardAcrossTasks) {
+    core::MimeNetwork net(config());
+    prepare(net);
+    core::ThresholdSet task_a;
+    core::ThresholdSet task_b;
+    make_tasks(net, task_a, task_b);
+
+    Rng rng(71);
+    const Tensor x = Tensor::randn({3, 3, 32, 32}, rng);
+    Workspace workspace;
+    std::uint64_t hits = 0;
+    std::vector<std::vector<float>> logits;
+    for (const core::ThresholdSet* task : {&task_a, &task_b, &task_a}) {
+        net.load_thresholds(*task);
+        logits.push_back(tensor_copy(net.forward_planned(x, workspace)));
+        EXPECT_GT(net.planned_sparse_hits(), hits);
+        hits = net.planned_sparse_hits();
+        EXPECT_TRUE(bit_equal(logits.back(), net.forward(x)))
+            << "task " << task->task_name
+            << ": planned logits diverge from MimeNetwork::forward";
+    }
+    EXPECT_NE(logits[0], logits[1])
+        << "tasks must differ for the reuse test to mean anything";
+}
+
+TEST_P(OutputSkipTest, ReusedInt8PlanBitMatchesFreshPlanAcrossTasks) {
+    core::MimeNetwork net(config());
+    prepare(net);
+    net.set_quantized_execution({true});
+    core::ThresholdSet task_a;
+    core::ThresholdSet task_b;
+    make_tasks(net, task_a, task_b);
+
+    Rng rng(73);
+    const Tensor x = Tensor::randn({3, 3, 32, 32}, rng);
+    Workspace workspace;
+    std::vector<std::vector<float>> logits;
+    for (const core::ThresholdSet* task : {&task_a, &task_b, &task_a}) {
+        net.load_thresholds(*task);
+        const std::vector<float> reused =
+            tensor_copy(net.forward_planned(x, workspace));
+
+        // Same weights (same seed), only this task ever installed.
+        core::MimeNetwork fresh(config());
+        prepare(fresh);
+        fresh.set_quantized_execution({true});
+        fresh.load_thresholds(*task);
+        Workspace fresh_workspace;
+        EXPECT_TRUE(bit_equal(reused,
+                              fresh.forward_planned(x, fresh_workspace)))
+            << "task " << task->task_name
+            << ": reused int8 plan diverges from a fresh one";
+        logits.push_back(reused);
+    }
+    EXPECT_NE(logits[0], logits[1])
+        << "tasks must differ for the reuse test to mean anything";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Archs, OutputSkipTest,
+    ::testing::Values(ArchCase{true, false}, ArchCase{true, true},
+                      ArchCase{false, false}));
+
+TEST(SparseForward, ReluModeComputesEveryChannel) {
+    // Pruned thresholds stay installed, but a ReLU site zeroes nothing
+    // structurally: no conv may skip an input or output channel.
+    core::MimeNetwork net(cnn_config(false));
+    net.set_training(false);
+    net.set_eval_mode(true);
+    prune_channels(net, 4);
+    net.set_mode(core::ActivationMode::relu);
+    net.set_sparse_execution({true, 0.85});
+
+    Rng rng(89);
+    const Tensor x = Tensor::randn({2, 3, 32, 32}, rng);
+    Workspace workspace;
+    const std::vector<float> planned =
+        tensor_copy(net.forward_planned(x, workspace));
+    EXPECT_TRUE(bit_equal(planned, net.forward(x)));
+    EXPECT_EQ(net.planned_sparse_hits(), 0u);
+    EXPECT_EQ(net.planned_skipped_macs(), 0u);
+}
+
+TEST(SparseForward, SkippedMacsCountBothSidesExactly) {
+    // plain-cnn (3x3 convs, padding 1): conv1 3->16 @32x32, conv2
+    // 16->16 @32x32, pool, conv3 16->32 @16x16, conv4 32->32 @16x16,
+    // pool, fc1 2048->64, classifier 64->10. Every site keeps channels
+    // c % 4 == 0, so a C-channel site has C/4 live channels.
+    core::MimeNetwork net(cnn_config(false));
+    net.set_training(false);
+    net.set_eval_mode(true);
+    net.set_mode(core::ActivationMode::threshold);
+    prune_channels(net, 4);
+    net.set_sparse_execution({true, 0.85});
+
+    const std::uint64_t batch = 2;
+    Rng rng(79);
+    const Tensor x = Tensor::randn({2, 3, 32, 32}, rng);
+    Workspace workspace;
+    net.forward_planned(x, workspace);
+
+    // Dense MACs per layer, and the MACs run: (spatial x live Cout x
+    // live Cin x 9) per conv, (out x live in) per linear. conv1's input
+    // is the image (all live); fc1 sees 8 live channels x 64 pooled
+    // features; the classifier sees the 16 live fc1 neurons.
+    const std::uint64_t dense = batch * (1024 * 16 * 27 + 1024 * 16 * 144 +
+                                         256 * 32 * 144 + 256 * 32 * 288 +
+                                         64 * 2048 + 10 * 64);
+    const std::uint64_t run = batch * (1024 * 4 * 27 + 1024 * 4 * 36 +
+                                       256 * 8 * 36 + 256 * 8 * 72 +
+                                       64 * 512 + 10 * 16);
+    EXPECT_EQ(net.planned_dense_macs(), dense);
+    EXPECT_EQ(net.planned_skipped_macs(), dense - run);
+    // All four convs and both linears compacted.
+    EXPECT_EQ(net.planned_sparse_hits(), 6u);
 }
 
 // ---------------------------------------------------------------------------
