@@ -33,4 +33,21 @@ void throw_check_error(const char* expr, const char* file, int line,
 }
 }  // namespace detail
 
+void require_index_list(const std::int64_t* list, std::int64_t count,
+                        std::int64_t extent, const char* what) {
+    MIME_REQUIRE(count >= 0 && count <= extent,
+                 std::string(what) + " count must be in [0, " +
+                     std::to_string(extent) + "]");
+    if (list == nullptr) {
+        return;
+    }
+    for (std::int64_t p = 0; p < count; ++p) {
+        MIME_REQUIRE(list[p] >= 0 && list[p] < extent &&
+                         (p == 0 || list[p] > list[p - 1]),
+                     std::string(what) +
+                         " indices must be strictly ascending within [0, " +
+                         std::to_string(extent) + ")");
+    }
+}
+
 }  // namespace mime

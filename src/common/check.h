@@ -6,6 +6,7 @@
 // silently ignored (unlike NDEBUG-stripped assert).
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -37,6 +38,14 @@ namespace detail {
 [[noreturn]] void throw_check_error(const char* expr, const char* file,
                                     int line, const std::string& message);
 }  // namespace detail
+
+/// Checks an optional index list as the row-list kernels take it:
+/// `count` in [0, extent] and, when `list` is non-null, its first
+/// `count` entries strictly ascending within [0, extent). A null list
+/// stands for the identity prefix 0..count-1. `what` names the list in
+/// the error message.
+void require_index_list(const std::int64_t* list, std::int64_t count,
+                        std::int64_t extent, const char* what);
 
 }  // namespace mime
 

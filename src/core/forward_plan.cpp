@@ -144,10 +144,16 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
             step.kind = Step::Kind::pool;
             step.pool = pool;
             profile.name = "pool" + std::to_string(++pool_ordinal);
+            // Pooling mixes neurons within a channel but a structurally
+            // dead channel (all zeros) pools to all zeros, so the pool
+            // zero-fills it instead of reading it.
+            if (upstream_site != nullptr &&
+                upstream_site->mask().activation_shape().dim(0) ==
+                    current.dim(1)) {
+                step.input_site = upstream_site;
+            }
             step.buffer = Tensor(pool->output_shape(current));
             current = step.buffer.shape();
-            // Pooling mixes neurons within a channel but a structurally
-            // dead channel (all zeros) pools to all zeros.
             upstream_channel_only = true;
         } else if (dynamic_cast<nn::Flatten*>(&layer) != nullptr) {
             MIME_REQUIRE(last_buffer != nullptr,
@@ -308,10 +314,15 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
             case Step::Kind::activation:
                 step.site->forward_eval_inplace(*cur_mut);
                 break;
-            case Step::Kind::pool:
-                step.pool->forward_into(*cur, step.buffer);
+            case Step::Kind::pool: {
+                nn::ActiveIndexView view;
+                step.pool->forward_into(
+                    *cur, step.buffer,
+                    sparse_enabled ? live_channel_view(step.input_site, view)
+                                   : nullptr);
                 cur = cur_mut = &step.buffer;
                 break;
+            }
             case Step::Kind::flatten:
                 // The view aliases cur_mut's storage; nothing to compute.
                 cur = cur_mut = &step.buffer;

@@ -33,9 +33,11 @@
 // output (directly or through BatchNorm) and passes that mask's live
 // channels as output rows: a dead output channel is never computed,
 // because the mask zeroes it whatever it holds, so the stale rows never
-// reach a consumer. Both sides follow the same density cutoff. Hit and
-// skipped-MAC counters (input- and output-side skips alike) accumulate
-// across runs.
+// reach a consumer. Both sides follow the same density cutoff. A
+// max-pool step zero-fills the dead channels of the mask feeding it
+// instead of pooling them (they hold only +0.0, so the bytes match). Hit
+// and skipped-MAC counters (input- and output-side skips alike)
+// accumulate across runs.
 //
 // Quantized execution: when the network's QuantizedExecution policy is
 // on at build time, conv/linear steps snapshot their weights as int8
@@ -157,9 +159,10 @@ private:
         nn::Linear* linear = nullptr;
         Tensor buffer;  ///< owned output (conv/pool/linear), view (flatten)
 
-        // -- sparse execution (conv / linear steps only) -------------------
+        // -- sparse execution (conv / pool / linear steps only) ------------
         /// Upstream mask whose structural zeros cover this step's input
-        /// (null when no mask's deadness survives to here).
+        /// (null when no mask's deadness survives to here). A pool step
+        /// zero-fills the mask's dead channels instead of pooling them.
         ActivationSite* input_site = nullptr;
         /// Conv only: the mask that directly consumes this step's output
         /// (optionally through in-place BatchNorm). Its dead channels

@@ -1,5 +1,6 @@
 #include "core/threshold_mask.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -42,6 +43,10 @@ std::int64_t apply_mask(float* y, const float* t, std::int64_t count) {
     }
     return zeros;
 }
+
+// Below this many neurons per channel (flat masks have one), a call
+// per live channel costs more than masking the whole sample.
+constexpr std::int64_t kMinSkippedExtent = 8;
 
 }  // namespace
 
@@ -128,10 +133,29 @@ void ThresholdMask::forward_eval_inplace(Tensor& activations) {
                      activations.shape().to_string() + " vs " +
                      activation_shape_.to_string());
     const float* t = thresholds_.value.data();
+    const ActiveSet& as = active_set();
+    const std::int64_t extent = per_sample / as.channels;
     std::int64_t zeros = 0;
     for (std::int64_t n = 0; n < batch; ++n) {
-        zeros += apply_mask(activations.data() + n * per_sample, t,
-                            per_sample);
+        float* y = activations.data() + n * per_sample;
+        if (static_cast<std::int64_t>(as.live_channels.size()) ==
+                as.channels ||
+            extent < kMinSkippedExtent) {
+            zeros += apply_mask(y, t, per_sample);
+            continue;
+        }
+        // A channel with no live neuron has only +inf/NaN thresholds, so
+        // the compare fails for every value (NaN included): write the
+        // zeros directly, and mask the live channels as usual.
+        std::int64_t c = 0;
+        for (const std::int64_t live : as.live_channels) {
+            std::fill(y + c * extent, y + live * extent, 0.0f);
+            zeros += (live - c) * extent;
+            zeros += apply_mask(y + live * extent, t + live * extent, extent);
+            c = live + 1;
+        }
+        std::fill(y + c * extent, y + per_sample, 0.0f);
+        zeros += per_sample - c * extent;
     }
     last_sparsity_ = static_cast<double>(zeros) /
                      static_cast<double>(activations.numel());

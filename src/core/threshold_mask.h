@@ -101,6 +101,8 @@ public:
     /// cached MAC outputs — counting zeros for last_sparsity().
     /// Bit-identical to forward(). Reads thresholds live, so a task's
     /// threshold install mid-stream takes effect on the next batch.
+    /// Channels with no live neuron (active_set()) are zero-filled
+    /// without reading them.
     void forward_eval_inplace(Tensor& activations);
 
     /// The threshold parameter tensor t (shape = activation shape).

@@ -270,14 +270,24 @@ ConvWork Conv2d::forward_into(const Tensor& input, Workspace& workspace,
     return {sel.k_rows, sel.out_channels};
 }
 
+std::int64_t Conv2d::quantized_group(std::int64_t spatial,
+                                     std::int64_t batch) const {
+    const std::int64_t bands = conv_bands(batch);
+    const std::int64_t per_band = (batch + bands - 1) / bands;
+    const std::int64_t wanted =
+        (kQuantizedGroupCols + spatial - 1) / spatial;
+    return std::max<std::int64_t>(1, std::min(wanted, per_band));
+}
+
 std::size_t Conv2d::quantized_workspace_bytes(std::int64_t in_height,
                                               std::int64_t in_width,
                                               std::int64_t batch) const {
     const ConvGeometry g = geometry(in_height, in_width);
-    const auto cols = static_cast<std::size_t>(g.col_rows() * g.col_cols());
-    const auto acc =
-        static_cast<std::size_t>(out_channels_ * g.col_cols()) *
-        sizeof(std::int32_t);
+    const std::int64_t width =
+        quantized_group(g.col_cols(), batch) * g.col_cols();
+    const auto cols = static_cast<std::size_t>(g.col_rows() * width);
+    const auto acc = static_cast<std::size_t>(out_channels_ * width) *
+                     sizeof(std::int32_t);
     const auto slab = static_cast<std::size_t>(batch * in_channels_ *
                                                in_height * in_width);
     return Workspace::aligned_bytes(slab) +
@@ -318,6 +328,10 @@ ConvWork Conv2d::forward_into_quantized(
     const std::int64_t plane = g.in_height * g.in_width;
     const std::int64_t in_stride = in_channels_ * plane;
     const std::int64_t out_stride = out_channels_ * spatial;
+    // Samples lowered side by side into one column matrix, so a deep
+    // layer's tiny plane still feeds the kernel full-width tiles.
+    const std::int64_t group = quantized_group(spatial, batch);
+    const std::int64_t ld = group * spatial;
 
     const Workspace::Checkpoint mark = workspace.checkpoint();
     // One dynamic scale *per sample*: a hot outlier in one image must
@@ -330,10 +344,9 @@ ConvWork Conv2d::forward_into_quantized(
 
     const std::int64_t bands = conv_bands(batch);
     const std::size_t cols_stride =
-        Workspace::aligned_bytes(static_cast<std::size_t>(ckk * spatial));
-    const std::size_t acc_stride =
-        Workspace::aligned_bytes(static_cast<std::size_t>(
-            out_channels_ * spatial * sizeof(std::int32_t)));
+        Workspace::aligned_bytes(static_cast<std::size_t>(ckk * ld));
+    const std::size_t acc_stride = Workspace::aligned_bytes(
+        static_cast<std::size_t>(out_channels_ * ld * sizeof(std::int32_t)));
     auto* cols_base = static_cast<std::int8_t*>(
         workspace.alloc_bytes(static_cast<std::size_t>(bands) * cols_stride));
     auto* acc_base = static_cast<std::int32_t*>(
@@ -342,49 +355,68 @@ ConvWork Conv2d::forward_into_quantized(
     const float* bias = bias_ ? bias_->value.data() : nullptr;
     const float* w_scales = qweight.scales.data();
     const std::int8_t* w_data = qweight.data.data();
+    // The quantized spans of one sample: each live channel's plane, or
+    // the whole sample as one span when the input side is dense.
+    const std::int64_t spans =
+        sel.live_in != nullptr ? sel.live_in->count : 1;
+    const std::int64_t span_len =
+        sel.live_in != nullptr ? plane : in_stride;
+    auto span_offset = [&](std::int64_t i) {
+        return sel.live_in != nullptr ? sel.live_in->indices[i] * plane
+                                      : std::int64_t{0};
+    };
+    const std::int64_t* lowered =
+        sel.live_in != nullptr ? sel.live_in->indices : nullptr;
+    const std::int64_t lowered_count =
+        sel.live_in != nullptr ? sel.live_in->count : in_channels_;
 
-    auto run_sample = [&](std::int64_t n, std::int8_t* cols,
-                          std::int32_t* acc, ThreadPool* gemm_pool) {
-        const float* x = input.data() + n * in_stride;
-        std::int8_t* qx = qinput + n * in_stride;
-        if (sel.live_in != nullptr) {
+    // Samples [n0, n1) (at most `group`): quantize and lower each into
+    // its column block, contract once, dequantize per sample.
+    auto run_group = [&](std::int64_t n0, std::int64_t n1,
+                         std::int8_t* cols, std::int32_t* acc,
+                         ThreadPool* gemm_pool) {
+        for (std::int64_t n = n0; n < n1; ++n) {
+            const float* x = input.data() + n * in_stride;
+            std::int8_t* qx = qinput + n * in_stride;
             // Dead input channels are exact zeros, so the absmax over
-            // the live ones is the sample's absmax; only the live
-            // channels are quantized, since only they are lowered.
-            const ActiveIndexView& live = *sel.live_in;
+            // the live ones is the sample's absmax; only the spans that
+            // get lowered are quantized.
             float absmax = 0.0f;
-            for (std::int64_t i = 0; i < live.count; ++i) {
-                absmax = std::max(absmax,
-                                  nn::activation_absmax(
-                                      x + live.indices[i] * plane, plane));
+            for (std::int64_t i = 0; i < spans; ++i) {
+                absmax = std::max(absmax, nn::activation_absmax(
+                                              x + span_offset(i), span_len));
             }
             const float inv = absmax == 0.0f ? 0.0f : 127.0f / absmax;
-            for (std::int64_t i = 0; i < live.count; ++i) {
-                const std::int64_t off = live.indices[i] * plane;
-                nn::quantize_with_scale(x + off, plane, inv, qx + off);
+            for (std::int64_t i = 0; i < spans; ++i) {
+                nn::quantize_with_scale(x + span_offset(i), span_len, inv,
+                                        qx + span_offset(i));
             }
             x_scales[n] = absmax == 0.0f ? 0.0f : absmax / 127.0f;
-            im2col(g, qx, cols, live.indices, live.count);
-        } else {
-            const float absmax = nn::activation_absmax(x, in_stride);
-            x_scales[n] = absmax == 0.0f ? 0.0f : absmax / 127.0f;
-            nn::quantize_with_scale(x, in_stride,
-                                    absmax == 0.0f ? 0.0f : 127.0f / absmax,
-                                    qx);
-            im2col(g, qx, cols);
+            im2col(g, qx, cols + (n - n0) * spatial, ld, lowered,
+                   lowered_count);
         }
-        qgemm_rows(out_channels_, spatial, ckk, sel.rows, sel.k_rows,
-                   sel.out_rows, sel.out_channels, w_data, ckk, cols,
-                   spatial, acc, spatial, gemm_pool);
+        qgemm_rows(out_channels_, (n1 - n0) * spatial, ckk, sel.rows,
+                   sel.k_rows, sel.out_rows, sel.out_channels, w_data, ckk,
+                   cols, ld, acc, ld, gemm_pool);
         // Dead output channels are never dequantized; the threshold mask
         // downstream zeroes their stale rows.
-        float* out = output.data() + n * out_stride;
         for (std::int64_t i = 0; i < sel.out_channels; ++i) {
             const std::int64_t c = sel.out_channel(i);
-            nn::dequantize_affine(acc + c * spatial, spatial,
-                                  w_scales[c] * x_scales[n],
-                                  bias != nullptr ? bias[c] : 0.0f,
-                                  out + c * spatial);
+            for (std::int64_t n = n0; n < n1; ++n) {
+                nn::dequantize_affine(acc + c * ld + (n - n0) * spatial,
+                                      spatial, w_scales[c] * x_scales[n],
+                                      bias != nullptr ? bias[c] : 0.0f,
+                                      output.data() + n * out_stride +
+                                          c * spatial);
+            }
+        }
+    };
+    auto run_band = [&run_group, group](std::int64_t n0, std::int64_t n1,
+                                        std::int8_t* cols,
+                                        std::int32_t* acc,
+                                        ThreadPool* gemm_pool) {
+        for (std::int64_t n = n0; n < n1; n += group) {
+            run_group(n, std::min(n + group, n1), cols, acc, gemm_pool);
         }
     };
 
@@ -401,17 +433,13 @@ ConvWork Conv2d::forward_into_quantized(
             auto* acc = reinterpret_cast<std::int32_t*>(
                 reinterpret_cast<std::int8_t*>(acc_base) +
                 static_cast<std::size_t>(band) * acc_stride);
-            pool_->submit([&run_sample, cols, acc, n0, n1] {
-                for (std::int64_t n = n0; n < n1; ++n) {
-                    run_sample(n, cols, acc, nullptr);
-                }
+            pool_->submit([&run_band, cols, acc, n0, n1] {
+                run_band(n0, n1, cols, acc, nullptr);
             });
         }
         pool_->wait_idle();
     } else {
-        for (std::int64_t n = 0; n < batch; ++n) {
-            run_sample(n, cols_base, acc_base, pool_);
-        }
+        run_band(0, batch, cols_base, acc_base, pool_);
     }
     workspace.rewind(mark);
     return {sel.k_rows, sel.out_channels};

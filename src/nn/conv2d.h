@@ -77,7 +77,10 @@ public:
     /// Same live-channel semantics as forward_into: a compacted input
     /// side also takes the absmax over, and quantizes, the live channels
     /// only (the dead ones are exact zeros, so the scale is unchanged),
-    /// and dead output rows are never computed or dequantized. Scratch
+    /// and dead output rows are never computed or dequantized. Small
+    /// planes are lowered several samples side by side and contracted
+    /// with one qgemm_rows call (quantized_group); integer accumulation
+    /// is exact, so the grouping never changes the output. Scratch
     /// comes from `workspace` (quantized_workspace_bytes), so steady
     /// state allocates nothing.
     ConvWork forward_into_quantized(
@@ -101,7 +104,7 @@ public:
     /// Workspace bytes forward_into_quantized() allocates at this input
     /// geometry and batch size (alignment-rounded): the int8 input
     /// slab plus, per band, an int8 column matrix and an int32
-    /// accumulator tile.
+    /// accumulator tile, each quantized_group() samples wide.
     std::size_t quantized_workspace_bytes(std::int64_t in_height,
                                           std::int64_t in_width,
                                           std::int64_t batch = 1) const;
@@ -109,6 +112,12 @@ public:
     /// Number of per-sample bands forward_into() splits a batch of the
     /// given size into: min(pool size, batch) with a pool, else 1.
     std::int64_t conv_bands(std::int64_t batch) const;
+
+    /// Samples forward_into_quantized() lowers side by side into one
+    /// column matrix (and contracts with one qgemm_rows call): enough
+    /// for kQuantizedGroupCols columns, capped by the samples per band.
+    std::int64_t quantized_group(std::int64_t spatial,
+                                 std::int64_t batch) const;
 
     /// Density above which forward_into ignores a live-channel view and
     /// runs that side dense (compaction bookkeeping beats the win near
@@ -131,6 +140,11 @@ public:
     std::int64_t padding() const noexcept { return padding_; }
 
 private:
+    /// Column width forward_into_quantized() aims for when it lowers
+    /// several samples into one column matrix: at 64 a 2x2 plane groups
+    /// 16 samples, and planes of 8x8 and up run one sample at a time.
+    static constexpr std::int64_t kQuantizedGroupCols = 64;
+
     /// The compacted index lists one planned forward runs with; a null
     /// list is the identity prefix of its count (see gemm_rows).
     struct LiveSelection {

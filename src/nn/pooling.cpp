@@ -1,5 +1,8 @@
 #include "nn/pooling.h"
 
+#include <algorithm>
+#include <string>
+
 #include "common/check.h"
 
 namespace mime::nn {
@@ -33,41 +36,83 @@ PoolGeometry pool_geometry(const Tensor& input, std::int64_t kernel,
     return pool_geometry(input.shape(), kernel, stride, who);
 }
 
-/// The one window-max loop nest shared by MaxPool2d::forward (argmax
-/// recorded for backward) and forward_into (argmax null): legacy and
-/// planned paths cannot diverge.
-void max_pool_compute(const PoolGeometry& g, std::int64_t kernel,
-                      std::int64_t stride, const Tensor& input,
-                      Tensor& output, std::int64_t* argmax) {
+/// Window max of one [in_h, in_w] plane into its [out_h, out_w] output.
+/// Each window starts from its top-left element and takes a later one
+/// only when strictly greater, in row-major window order; `argmax`
+/// (optional) receives `plane_base` + the winner's in-plane index.
+void max_pool_plane(const PoolGeometry& g, std::int64_t kernel,
+                    std::int64_t stride, const float* plane, float* out,
+                    std::int64_t* argmax, std::int64_t plane_base) {
+    if (kernel == 2 && stride == 2 && argmax == nullptr) {
+        // The 2x2/2 window every reproduced net uses, unrolled: the same
+        // comparisons in the same order as the general loop below.
+        for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+            const float* r0 = plane + 2 * oy * g.in_w;
+            const float* r1 = r0 + g.in_w;
+            float* o = out + oy * g.out_w;
+            for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
+                float best = r0[2 * ox];
+                best = r0[2 * ox + 1] > best ? r0[2 * ox + 1] : best;
+                best = r1[2 * ox] > best ? r1[2 * ox] : best;
+                best = r1[2 * ox + 1] > best ? r1[2 * ox + 1] : best;
+                o[ox] = best;
+            }
+        }
+        return;
+    }
     std::int64_t out_idx = 0;
-    for (std::int64_t n = 0; n < g.batch; ++n) {
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-            const float* plane =
-                input.data() + (n * g.channels + c) * g.in_h * g.in_w;
-            const std::int64_t plane_base =
-                (n * g.channels + c) * g.in_h * g.in_w;
-            for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
-                for (std::int64_t ox = 0; ox < g.out_w; ++ox, ++out_idx) {
-                    const std::int64_t y0 = oy * stride;
-                    const std::int64_t x0 = ox * stride;
-                    float best = plane[y0 * g.in_w + x0];
-                    std::int64_t best_idx = y0 * g.in_w + x0;
-                    for (std::int64_t ky = 0; ky < kernel; ++ky) {
-                        for (std::int64_t kx = 0; kx < kernel; ++kx) {
-                            const std::int64_t idx =
-                                (y0 + ky) * g.in_w + (x0 + kx);
-                            if (plane[idx] > best) {
-                                best = plane[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    output[out_idx] = best;
-                    if (argmax != nullptr) {
-                        argmax[out_idx] = plane_base + best_idx;
+    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < g.out_w; ++ox, ++out_idx) {
+            const std::int64_t y0 = oy * stride;
+            const std::int64_t x0 = ox * stride;
+            float best = plane[y0 * g.in_w + x0];
+            std::int64_t best_idx = y0 * g.in_w + x0;
+            for (std::int64_t ky = 0; ky < kernel; ++ky) {
+                for (std::int64_t kx = 0; kx < kernel; ++kx) {
+                    const std::int64_t idx = (y0 + ky) * g.in_w + (x0 + kx);
+                    if (plane[idx] > best) {
+                        best = plane[idx];
+                        best_idx = idx;
                     }
                 }
             }
+            out[out_idx] = best;
+            if (argmax != nullptr) {
+                argmax[out_idx] = plane_base + best_idx;
+            }
+        }
+    }
+}
+
+/// The one plane loop shared by MaxPool2d::forward (argmax recorded for
+/// backward) and forward_into (argmax null): legacy and planned paths
+/// cannot diverge. With `live` given, only the listed channels are
+/// pooled and every other output plane is zero-filled.
+void max_pool_compute(const PoolGeometry& g, std::int64_t kernel,
+                      std::int64_t stride, const Tensor& input,
+                      Tensor& output, std::int64_t* argmax,
+                      const ActiveIndexView* live = nullptr) {
+    const std::int64_t in_plane = g.in_h * g.in_w;
+    const std::int64_t out_plane = g.out_h * g.out_w;
+    for (std::int64_t n = 0; n < g.batch; ++n) {
+        std::int64_t next_live = 0;
+        for (std::int64_t c = 0; c < g.channels; ++c) {
+            const std::int64_t plane = n * g.channels + c;
+            float* out = output.data() + plane * out_plane;
+            if (live != nullptr) {
+                if (next_live < live->count &&
+                    live->indices[next_live] == c) {
+                    ++next_live;
+                } else {
+                    std::fill(out, out + out_plane, 0.0f);
+                    continue;
+                }
+            }
+            max_pool_plane(g, kernel, stride,
+                           input.data() + plane * in_plane, out,
+                           argmax != nullptr ? argmax + plane * out_plane
+                                             : nullptr,
+                           plane * in_plane);
         }
     }
 }
@@ -98,7 +143,8 @@ Shape MaxPool2d::output_shape(const Shape& input_shape) const {
     return Shape({g.batch, g.channels, g.out_h, g.out_w});
 }
 
-void MaxPool2d::forward_into(const Tensor& input, Tensor& output) {
+void MaxPool2d::forward_into(const Tensor& input, Tensor& output,
+                             const ActiveIndexView* live_channels) {
     const PoolGeometry g = pool_geometry(input, kernel_, stride_, "MaxPool2d");
     MIME_REQUIRE(eval_mode(),
                  "MaxPool2d::forward_into is inference-only; set_eval_mode "
@@ -107,7 +153,17 @@ void MaxPool2d::forward_into(const Tensor& input, Tensor& output) {
                      Shape({g.batch, g.channels, g.out_h, g.out_w}),
                  "MaxPool2d::forward_into output shape mismatch: " +
                      output.shape().to_string());
-    max_pool_compute(g, kernel_, stride_, input, output, /*argmax=*/nullptr);
+    if (live_channels != nullptr) {
+        MIME_REQUIRE(live_channels->total == g.channels,
+                     "MaxPool2d live-channel view covers " +
+                         std::to_string(live_channels->total) +
+                         " channels, input has " +
+                         std::to_string(g.channels));
+        require_index_list(live_channels->indices, live_channels->count,
+                           g.channels, "MaxPool2d live channel");
+    }
+    max_pool_compute(g, kernel_, stride_, input, output, /*argmax=*/nullptr,
+                     live_channels);
 }
 
 void MaxPool2d::set_eval_mode(bool eval) {

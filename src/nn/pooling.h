@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nn/module.h"
+#include "nn/sparse.h"
 
 namespace mime::nn {
 
@@ -22,7 +23,14 @@ public:
     /// Planned-executor forward: writes into the caller-preallocated
     /// `output`; no heap allocation and no argmax bookkeeping (that
     /// exists only for backward). Bit-identical to forward().
-    void forward_into(const Tensor& input, Tensor& output);
+    ///
+    /// `live_channels`, when given, lists (strictly ascending) the
+    /// channels of `input` that may hold a nonzero. Every other channel
+    /// must be all +0.0 (a threshold mask zeroed it), so its output
+    /// plane is written as zeros without reading the input — the bytes
+    /// forward() would produce.
+    void forward_into(const Tensor& input, Tensor& output,
+                      const ActiveIndexView* live_channels = nullptr);
 
     /// Output shape for pooling `input_shape` (validates geometry).
     Shape output_shape(const Shape& input_shape) const;

@@ -45,11 +45,28 @@ float range_absmax(const float* x, std::int64_t count) {
 #if defined(__AVX2__)
     const __m256 abs_mask =
         _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    // Four independent chains hide the max latency; max is exact, so
+    // the split never changes a NaN-free result.
     __m256 vmax = _mm256_setzero_ps();
+    __m256 vmax1 = _mm256_setzero_ps();
+    __m256 vmax2 = _mm256_setzero_ps();
+    __m256 vmax3 = _mm256_setzero_ps();
+    for (; i + 32 <= count; i += 32) {
+        vmax = _mm256_max_ps(
+            vmax, _mm256_and_ps(abs_mask, _mm256_loadu_ps(x + i)));
+        vmax1 = _mm256_max_ps(
+            vmax1, _mm256_and_ps(abs_mask, _mm256_loadu_ps(x + i + 8)));
+        vmax2 = _mm256_max_ps(
+            vmax2, _mm256_and_ps(abs_mask, _mm256_loadu_ps(x + i + 16)));
+        vmax3 = _mm256_max_ps(
+            vmax3, _mm256_and_ps(abs_mask, _mm256_loadu_ps(x + i + 24)));
+    }
     for (; i + 8 <= count; i += 8) {
         vmax = _mm256_max_ps(
             vmax, _mm256_and_ps(abs_mask, _mm256_loadu_ps(x + i)));
     }
+    vmax = _mm256_max_ps(_mm256_max_ps(vmax, vmax1),
+                         _mm256_max_ps(vmax2, vmax3));
     alignas(32) float lanes[8];
     _mm256_store_ps(lanes, vmax);
     for (float lane : lanes) {

@@ -236,23 +236,6 @@ void gemm_dispatch(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     pool->wait_idle();
 }
 
-void require_index_list(const std::int64_t* list, std::int64_t count,
-                        std::int64_t extent, const char* what) {
-    MIME_REQUIRE(count >= 0 && count <= extent,
-                 std::string(what) + " count must be in [0, " +
-                     std::to_string(extent) + "]");
-    if (list == nullptr) {
-        return;
-    }
-    for (std::int64_t p = 0; p < count; ++p) {
-        MIME_REQUIRE(list[p] >= 0 && list[p] < extent &&
-                         (p == 0 || list[p] > list[p - 1]),
-                     std::string(what) +
-                         " indices must be strictly ascending within [0, " +
-                         std::to_string(extent) + ")");
-    }
-}
-
 }  // namespace
 
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,

@@ -1,7 +1,9 @@
 #include "tensor/im2col.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -21,14 +23,16 @@ void ConvGeometry::validate() const {
 namespace {
 
 // Lowers one input channel into its K*K block of rows starting at
-// `columns + c*K*K*cols`; shared by the dense and live-channel paths so
-// the bytes written for a given channel are identical in both. The
-// element type is templated — float for the f32 path, int8 for the
-// quantized executor (pure data movement either way; out-of-image taps
-// are the type's zero, which for int8 dequantizes to exactly 0).
+// `columns + c*K*K*ld` (`ld` >= Hout*Wout is the row pitch; only the
+// first Hout*Wout entries of each row are written); shared by the dense
+// and live-channel paths so the bytes written for a given channel are
+// identical in both. The element type is templated — float for the f32
+// path, int8 for the quantized executor (pure data movement either way;
+// out-of-image taps are the type's zero, which for int8 dequantizes to
+// exactly 0).
 template <typename T>
 void im2col_channel(const ConvGeometry& g, const T* input, T* columns,
-                    std::int64_t c) {
+                    std::int64_t ld, std::int64_t c) {
     const std::int64_t ho = g.out_height();
     const std::int64_t wo = g.out_width();
     const std::int64_t cols = ho * wo;
@@ -44,7 +48,7 @@ void im2col_channel(const ConvGeometry& g, const T* input, T* columns,
         const std::int64_t plane = g.in_height * w;
         for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
             for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-                T* out_row = columns + row * cols;
+                T* out_row = columns + row * ld;
                 const std::int64_t dy = ky - g.padding;
                 const std::int64_t dx = kx - g.padding;
                 const std::int64_t oy0 = std::max<std::int64_t>(0, -dy);
@@ -84,7 +88,7 @@ void im2col_channel(const ConvGeometry& g, const T* input, T* columns,
     }
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
         for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-            T* out_row = columns + row * cols;
+            T* out_row = columns + row * ld;
             for (std::int64_t oy = 0; oy < ho; ++oy) {
                 const std::int64_t iy = oy * g.stride + ky - g.padding;
                 if (iy < 0 || iy >= g.in_height) {
@@ -104,28 +108,100 @@ void im2col_channel(const ConvGeometry& g, const T* input, T* columns,
     }
 }
 
+// Small 'same' stride-1 planes (the deep layers: up to 8x8 float,
+// 16x16 int8), where the per-tap fills, copy and column loop of
+// im2col_channel cost
+// more than the bytes they move. Each tap row is the plane shifted by
+// dy*w + dx with the columns that wrapped around a side edge zeroed:
+// reading from a copy of the channel framed by zero margins turns the
+// top/bottom edges into plain reads of zeros, and a keep mask per dx
+// zeroes the side edges, so every tap is one branch-free loop. Writes
+// the same bytes as im2col_channel. Past 256 bytes per plane the copy
+// per tap of im2col_channel is the faster of the two.
+constexpr std::int64_t kSmallPlaneBytes = 256;
+constexpr std::int64_t kSmallMaxPad = 3;
+constexpr std::int64_t kSmallFrame = 1024;
+
 template <typename T>
-void im2col_all(const ConvGeometry& g, const T* input, T* columns) {
-    g.validate();
-    for (std::int64_t c = 0; c < g.in_channels; ++c) {
-        im2col_channel(g, input, columns, c);
+constexpr std::int64_t kSmallPlane =
+    kSmallPlaneBytes / static_cast<std::int64_t>(sizeof(T));
+
+template <typename T>
+bool small_same(const ConvGeometry& g) {
+    const std::int64_t plane = g.in_height * g.in_width;
+    return g.stride == 1 && g.out_height() == g.in_height &&
+           g.out_width() == g.in_width && g.padding <= kSmallMaxPad &&
+           plane <= kSmallPlane<T> &&
+           plane + 2 * (g.padding * g.in_width + g.padding) <= kSmallFrame;
+}
+
+template <typename T>
+void im2col_small_same(const ConvGeometry& g, const T* input, T* columns,
+                       std::int64_t ld, const std::int64_t* live_channels,
+                       std::int64_t live_count) {
+    const std::int64_t w = g.in_width;
+    const std::int64_t plane = g.in_height * w;
+    const std::int64_t p = g.padding;
+    const std::int64_t margin = p * w + p;
+    // keep[kx][i]: output column i % w reads an in-image column at
+    // horizontal offset kx - p. Mask elements as wide as T keep the tap
+    // loop a plain vector select.
+    using Keep = std::conditional_t<sizeof(T) == 4, std::int32_t,
+                                    std::int8_t>;
+    static_assert(sizeof(Keep) == sizeof(T));
+    Keep keep[2 * kSmallMaxPad + 1][kSmallPlane<T>];
+    for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+        for (std::int64_t x = 0; x < w; ++x) {
+            keep[kx][x] = x + kx - p >= 0 && x + kx - p < w ? 1 : 0;
+        }
+        for (std::int64_t i = w; i < plane; ++i) {
+            keep[kx][i] = keep[kx][i - w];
+        }
+    }
+    T frame[kSmallFrame];
+    std::fill(frame, frame + margin, T{});
+    std::fill(frame + margin + plane, frame + plane + 2 * margin, T{});
+    for (std::int64_t l = 0; l < live_count; ++l) {
+        const std::int64_t c = live_channels != nullptr ? live_channels[l] : l;
+        std::memcpy(frame + margin, input + c * plane,
+                    static_cast<std::size_t>(plane) * sizeof(T));
+        std::int64_t row = c * g.kernel * g.kernel;
+        for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+            for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
+                const T* src = frame + margin + (ky - p) * w + (kx - p);
+                const Keep* k = keep[kx];
+                T* out_row = columns + row * ld;
+                for (std::int64_t i = 0; i < plane; ++i) {
+                    const T v = src[i];  // always in the frame
+                    out_row[i] = k[i] != 0 ? v : T{};
+                }
+            }
+        }
     }
 }
 
 template <typename T>
 void im2col_live(const ConvGeometry& g, const T* input, T* columns,
-                 const std::int64_t* live_channels, std::int64_t live_count) {
+                 std::int64_t ld, const std::int64_t* live_channels,
+                 std::int64_t live_count) {
     g.validate();
-    MIME_REQUIRE(live_channels != nullptr || live_count == 0,
-                 "im2col needs a channel list unless live_count is 0");
-    for (std::int64_t i = 0; i < live_count; ++i) {
-        const std::int64_t c = live_channels[i];
-        MIME_REQUIRE(c >= 0 && c < g.in_channels &&
-                         (i == 0 || c > live_channels[i - 1]),
-                     "im2col live channels must be strictly ascending within "
-                     "[0, in_channels)");
-        im2col_channel(g, input, columns, c);
+    MIME_REQUIRE(ld >= g.col_cols(),
+                 "im2col row pitch must be >= Hout*Wout");
+    require_index_list(live_channels, live_count, g.in_channels,
+                       "im2col live channel");
+    if (small_same<T>(g)) {
+        im2col_small_same(g, input, columns, ld, live_channels, live_count);
+        return;
     }
+    for (std::int64_t i = 0; i < live_count; ++i) {
+        const std::int64_t c = live_channels != nullptr ? live_channels[i] : i;
+        im2col_channel(g, input, columns, ld, c);
+    }
+}
+
+template <typename T>
+void im2col_all(const ConvGeometry& g, const T* input, T* columns) {
+    im2col_live(g, input, columns, g.col_cols(), nullptr, g.in_channels);
 }
 
 }  // namespace
@@ -141,13 +217,13 @@ void im2col(const ConvGeometry& g, const std::int8_t* input,
 
 void im2col(const ConvGeometry& g, const float* input, float* columns,
             const std::int64_t* live_channels, std::int64_t live_count) {
-    im2col_live(g, input, columns, live_channels, live_count);
+    im2col_live(g, input, columns, g.col_cols(), live_channels, live_count);
 }
 
 void im2col(const ConvGeometry& g, const std::int8_t* input,
-            std::int8_t* columns, const std::int64_t* live_channels,
-            std::int64_t live_count) {
-    im2col_live(g, input, columns, live_channels, live_count);
+            std::int8_t* columns, std::int64_t ld,
+            const std::int64_t* live_channels, std::int64_t live_count) {
+    im2col_live(g, input, columns, ld, live_channels, live_count);
 }
 
 void col2im(const ConvGeometry& g, const float* columns, float* input_grad) {

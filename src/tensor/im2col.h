@@ -47,16 +47,22 @@ void im2col(const ConvGeometry& g, const std::int8_t* input,
 
 /// Partial lowering for the sparse conv path: writes only the K*K row
 /// blocks of the `live_count` channels listed (strictly ascending) in
-/// `live_channels`. `columns` keeps its full [C*K*K, Hout*Wout] layout —
-/// rows of dead channels are left untouched (their previous contents are
-/// garbage and must never be read; the row-compacted GEMM skips them).
+/// `live_channels`; a null list is the identity prefix 0..live_count-1
+/// (so `nullptr, C` lowers every channel). `columns` keeps its full
+/// [C*K*K, Hout*Wout] layout — rows of dead channels are left untouched
+/// (their previous contents are garbage and must never be read; the
+/// row-compacted GEMM skips them).
 void im2col(const ConvGeometry& g, const float* input, float* columns,
             const std::int64_t* live_channels, std::int64_t live_count);
 
-/// Int8 partial lowering (see above; composes with qgemm_rows).
+/// Int8 partial lowering (see above; composes with qgemm_rows) into a
+/// column matrix with row pitch `ld` >= Hout*Wout: only the first
+/// Hout*Wout entries of each written row are touched, so several
+/// samples can be lowered side by side into one [C*K*K, ld] matrix and
+/// contracted by a single qgemm_rows call.
 void im2col(const ConvGeometry& g, const std::int8_t* input,
-            std::int8_t* columns, const std::int64_t* live_channels,
-            std::int64_t live_count);
+            std::int8_t* columns, std::int64_t ld,
+            const std::int64_t* live_channels, std::int64_t live_count);
 
 /// Adjoint of im2col: accumulates `columns` [C*K*K, Hout*Wout] back into
 /// `input_grad` [C, H, W]. `input_grad` must be zeroed by the caller

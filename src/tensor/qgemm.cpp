@@ -287,23 +287,6 @@ void qgemm_dispatch(std::int64_t m, std::int64_t n, const std::int64_t* rows,
     pool->wait_idle();
 }
 
-void require_index_list(const std::int64_t* list, std::int64_t count,
-                        std::int64_t extent, const char* what) {
-    MIME_REQUIRE(count >= 0 && count <= extent,
-                 std::string(what) + " count must be in [0, " +
-                     std::to_string(extent) + "]");
-    if (list == nullptr) {
-        return;
-    }
-    for (std::int64_t p = 0; p < count; ++p) {
-        MIME_REQUIRE(list[p] >= 0 && list[p] < extent &&
-                         (p == 0 || list[p] > list[p - 1]),
-                     std::string(what) +
-                         " indices must be strictly ascending within [0, " +
-                         std::to_string(extent) + ")");
-    }
-}
-
 void validate_common(std::int64_t m, std::int64_t n, std::int64_t k,
                      const std::int8_t* a, const std::int8_t* b,
                      const std::int32_t* c) {

@@ -3,6 +3,10 @@
 // (workspace-backed, eval-mode, allocation-free).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -10,6 +14,8 @@
 #include "nn/conv2d.h"
 #include "nn/gradcheck.h"
 #include "nn/linear.h"
+#include "nn/quantize.h"
+#include "nn/sparse.h"
 #include "tensor/workspace.h"
 
 namespace mime::nn {
@@ -174,6 +180,76 @@ TEST(Conv2d, ForwardIntoRequiresEvalModeAndExactOutputShape) {
     Tensor bad({1, 3, 5, 5});
     EXPECT_THROW(conv.forward_into(x, ws, bad), check_error);
     EXPECT_NO_THROW(conv.forward_into(x, ws, out));
+}
+
+// Small planes are lowered several samples side by side and contracted
+// by one qgemm_rows call. Integer accumulation is exact, so a sample's
+// int8 output must not depend on which samples share its group: a
+// batch of 12 (one group serially, groups of 4 under a 3-thread pool)
+// must bit-match each sample run alone, and dead output rows must stay
+// untouched.
+TEST(Conv2d, QuantizedForwardIsIndependentOfSampleGrouping) {
+    Rng rng(21);
+    Conv2d conv(8, 6, 3, 1, 1, rng);
+    conv.set_eval_mode(true);
+    const QuantizedTensor qw =
+        quantize_weights_per_channel(conv.weight().value);
+    const std::int64_t batch = 12;
+    ASSERT_EQ(conv.quantized_group(4, batch), batch);  // 2x2 planes
+    Tensor x = Tensor::randn({batch, 8, 2, 2}, rng);
+    // Dead input channels hold exact zeros, as a threshold mask leaves
+    // them.
+    const std::vector<std::int64_t> live_in{0, 2, 3, 5, 7};
+    const std::vector<std::int64_t> live_out{1, 2, 5};
+    for (std::int64_t n = 0; n < batch; ++n) {
+        for (const std::int64_t c : {1, 4, 6}) {
+            std::fill(x.data() + (n * 8 + c) * 4,
+                      x.data() + (n * 8 + c + 1) * 4, 0.0f);
+        }
+    }
+    const ActiveIndexView in_view{live_in.data(), 5, 8};
+    const ActiveIndexView out_view{live_out.data(), 3, 6};
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    auto run = [&](const Tensor& input) {
+        const std::int64_t nb = input.shape().dim(0);
+        Workspace ws(conv.quantized_workspace_bytes(2, 2, nb));
+        Tensor out = Tensor::full({nb, 6, 2, 2}, nan);
+        conv.forward_into_quantized(input, ws, out, qw, &in_view,
+                                    &out_view);
+        return out;
+    };
+
+    const Tensor grouped = run(x);
+    ThreadPool pool(3);
+    conv.set_pool(&pool);
+    ASSERT_EQ(conv.quantized_group(4, batch), 4);
+    const Tensor banded = run(x);
+    conv.set_pool(nullptr);
+    ASSERT_EQ(std::memcmp(grouped.data(), banded.data(),
+                          static_cast<std::size_t>(grouped.numel()) *
+                              sizeof(float)),
+              0);
+    for (std::int64_t n = 0; n < batch; ++n) {
+        Tensor one({1, 8, 2, 2});
+        std::copy(x.data() + n * 32, x.data() + (n + 1) * 32, one.data());
+        const Tensor alone = run(one);
+        for (std::int64_t c = 0; c < 6; ++c) {
+            const float* got = grouped.data() + (n * 6 + c) * 4;
+            const bool live = c == 1 || c == 2 || c == 5;
+            for (std::int64_t s = 0; s < 4; ++s) {
+                if (live) {
+                    ASSERT_EQ(std::memcmp(&got[s], alone.data() + c * 4 + s,
+                                          sizeof(float)),
+                              0)
+                        << "sample " << n << " channel " << c;
+                    ASSERT_FALSE(std::isnan(got[s]));
+                } else {
+                    ASSERT_TRUE(std::isnan(got[s]))
+                        << "dead row written: sample " << n;
+                }
+            }
+        }
+    }
 }
 
 TEST(Conv2d, EvalModeForwardRetainsNoCachedInput) {

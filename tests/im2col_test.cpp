@@ -209,10 +209,11 @@ std::vector<T> im2col_oracle(const ConvGeometry& g, const std::vector<T>& x) {
 }
 
 TEST(Im2col, MatchesOracleAcrossGeometriesFloatAndInt8) {
-    // Same-padding stride-1 shapes (the one-copy-per-tap path) at every
-    // small width, plus valid, over-padded and strided ones.
+    // Same-padding stride-1 shapes at every small width (the framed
+    // small-plane path: up to 256 bytes a plane) and past it (one copy
+    // per tap), plus valid, over-padded and strided ones.
     std::vector<ConvGeometry> geometries;
-    for (const std::int64_t size : {1, 2, 3, 4, 7, 16}) {
+    for (const std::int64_t size : {1, 2, 3, 4, 7, 8, 9, 16, 17, 32}) {
         for (const std::int64_t k : {1, 3, 5}) {
             geometries.push_back(make_geometry(3, size, size, k, 1, k / 2));
         }
@@ -245,6 +246,36 @@ TEST(Im2col, MatchesOracleAcrossGeometriesFloatAndInt8) {
         im2col(g, xq.data(), cq.data());
         EXPECT_EQ(cf, im2col_oracle(g, xf)) << where;
         EXPECT_EQ(cq, im2col_oracle(g, xq)) << where;
+
+        // A null channel list lowers every channel.
+        std::vector<float> nf(cf.size(), 7.0f);
+        im2col(g, xf.data(), nf.data(), nullptr, g.in_channels);
+        EXPECT_EQ(nf, cf) << where;
+
+        // Int8 with a row pitch: two samples side by side, each block
+        // the oracle's, and the pitch's spare columns left untouched.
+        const std::int64_t cols = g.col_cols();
+        const std::int64_t ld = 2 * cols + 3;
+        std::vector<std::int8_t> xq2(xq.rbegin(), xq.rend());
+        std::vector<std::int8_t> wide(
+            static_cast<std::size_t>(g.col_rows() * ld), std::int8_t{7});
+        im2col(g, xq.data(), wide.data(), ld, nullptr, g.in_channels);
+        im2col(g, xq2.data(), wide.data() + cols, ld, nullptr,
+               g.in_channels);
+        const std::vector<std::int8_t> ref1 = im2col_oracle(g, xq);
+        const std::vector<std::int8_t> ref2 = im2col_oracle(g, xq2);
+        for (std::int64_t r = 0; r < g.col_rows(); ++r) {
+            for (std::int64_t j = 0; j < ld; ++j) {
+                const std::int8_t got =
+                    wide[static_cast<std::size_t>(r * ld + j)];
+                const std::int8_t want =
+                    j < cols ? ref1[static_cast<std::size_t>(r * cols + j)]
+                    : j < 2 * cols
+                        ? ref2[static_cast<std::size_t>(r * cols + j - cols)]
+                        : std::int8_t{7};
+                ASSERT_EQ(got, want) << where << " row " << r << " col " << j;
+            }
+        }
 
         // Live-channel lowering writes exactly the live channels' rows.
         const std::int64_t live[] = {0, 2};

@@ -3,10 +3,16 @@
 // max pooling).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/check.h"
 #include "nn/gradcheck.h"
 #include "nn/layers.h"
 #include "nn/pooling.h"
+#include "nn/sparse.h"
 
 namespace mime::nn {
 namespace {
@@ -45,6 +51,66 @@ TEST(MaxPool2d, ForwardIntoBitMatchesForwardWithoutArgmaxState) {
         ASSERT_EQ(out[i], expected[i]);
     }
     EXPECT_EQ(pool.cached_state_bytes(), 0);
+}
+
+// forward() runs the general window loop (it records argmax);
+// forward_into() takes the unrolled 2x2/2 path. Ties, signed zeros,
+// NaNs and odd extents (a trailing row and column no window covers)
+// must produce the same bytes through both.
+TEST(MaxPool2d, UnrolledWindowBitMatchesGeneralLoop) {
+    MaxPool2d pool(2, 2);
+    Rng rng(8);
+    Tensor x = Tensor::randn({2, 3, 7, 9}, rng);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::int64_t i = 0; i < x.numel(); i += 5) {
+        x.data()[i] = (i % 3 == 0) ? -0.0f : 0.0f;
+    }
+    for (std::int64_t i = 1; i < x.numel(); i += 11) {
+        x.data()[i] = nan;
+    }
+    for (std::int64_t i = 2; i < x.numel(); i += 13) {
+        x.data()[i] = x.data()[i - 1];
+    }
+    const Tensor expected = pool.forward(x);
+    pool.set_eval_mode(true);
+    Tensor out(pool.output_shape(x.shape()));
+    pool.forward_into(x, out);
+    ASSERT_EQ(std::memcmp(out.data(), expected.data(),
+                          static_cast<std::size_t>(out.numel()) *
+                              sizeof(float)),
+              0);
+}
+
+// With live channels given, dead channels (all +0.0, as a threshold
+// mask leaves them) are zero-filled without being read, and the result
+// is the bytes of a full pool.
+TEST(MaxPool2d, ForwardIntoLiveChannelsZeroFillsDeadPlanes) {
+    MaxPool2d pool(2, 2);
+    Rng rng(9);
+    Tensor x = Tensor::randn({2, 4, 6, 6}, rng);
+    for (std::int64_t n = 0; n < 2; ++n) {
+        for (const std::int64_t c : {1, 2}) {
+            std::fill(x.data() + (n * 4 + c) * 36,
+                      x.data() + (n * 4 + c + 1) * 36, 0.0f);
+        }
+    }
+    const Tensor expected = pool.forward(x);
+    pool.set_eval_mode(true);
+    const std::vector<std::int64_t> live{0, 3};
+    const ActiveIndexView view{live.data(), 2, 4};
+    Tensor out = Tensor::full(pool.output_shape(x.shape()),
+                              std::numeric_limits<float>::quiet_NaN());
+    pool.forward_into(x, out, &view);
+    ASSERT_EQ(std::memcmp(out.data(), expected.data(),
+                          static_cast<std::size_t>(out.numel()) *
+                              sizeof(float)),
+              0);
+
+    const std::vector<std::int64_t> unsorted{3, 0};
+    const ActiveIndexView bad_order{unsorted.data(), 2, 4};
+    EXPECT_THROW(pool.forward_into(x, out, &bad_order), check_error);
+    const ActiveIndexView bad_total{live.data(), 2, 5};
+    EXPECT_THROW(pool.forward_into(x, out, &bad_total), check_error);
 }
 
 TEST(Dropout, EvalModePassesThroughWithoutScaleCache) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/check.h"
 #include "core/threshold_mask.h"
@@ -258,6 +261,55 @@ TEST(ThresholdMask, VectorizedApplyMatchesScalarDefinition) {
     // last_sparsity comes from the count fused into the apply loop.
     EXPECT_DOUBLE_EQ(mask.last_sparsity(),
                      static_cast<double>(zeros) / (3.0 * features));
+}
+
+// Eval-mode masking zero-fills channels with no live neuron instead of
+// comparing them. The bytes and the zero count must still be those of
+// the definition a_i = y_i * 1[y_i - t_i >= 0], whatever a dead channel
+// holds (+inf, NaN, -0.0 included), and live channels that share a
+// sample with dead ones must be masked as usual.
+TEST(ThresholdMask, EvalInplaceZeroFillsDeadChannelsByDefinition) {
+    const std::int64_t channels = 5;
+    const std::int64_t extent = 12;  // 3x4 planes
+    ThresholdMask mask({channels, 3, 4}, 0.2f);
+    float* t = mask.thresholds().value.data();
+    for (std::int64_t i = 0; i < extent; ++i) {
+        t[1 * extent + i] = kPrunedThreshold;
+        t[3 * extent + i] = (i % 2 == 0)
+                                ? kPrunedThreshold
+                                : std::numeric_limits<float>::quiet_NaN();
+        t[4 * extent + i] = kPrunedThreshold;
+    }
+    t[2 * extent + 5] = kPrunedThreshold;  // one dead neuron, live channel
+    mask.mark_thresholds_dirty();
+    ASSERT_EQ(mask.active_set().live_channels,
+              (std::vector<std::int64_t>{0, 2}));
+
+    Rng rng(4);
+    Tensor y = Tensor::randn({3, channels, 3, 4}, rng);
+    y.data()[1 * extent] = std::numeric_limits<float>::infinity();
+    y.data()[1 * extent + 1] = std::numeric_limits<float>::quiet_NaN();
+    y.data()[3 * extent + 2] = -0.0f;
+    mask.set_eval_mode(true);
+    Tensor out = y;
+    mask.forward_eval_inplace(out);
+
+    std::int64_t zeros = 0;
+    for (std::int64_t n = 0; n < 3; ++n) {
+        for (std::int64_t i = 0; i < channels * extent; ++i) {
+            const float yi = y.data()[n * channels * extent + i];
+            const float expected = (yi - t[i] >= 0.0f) ? yi : 0.0f;
+            const float got = out.data()[n * channels * extent + i];
+            ASSERT_EQ(std::memcmp(&got, &expected, sizeof(float)), 0)
+                << "sample " << n << " neuron " << i;
+            if (!(yi - t[i] >= 0.0f)) {
+                ++zeros;
+            }
+        }
+    }
+    EXPECT_DOUBLE_EQ(mask.last_sparsity(),
+                     static_cast<double>(zeros) /
+                         static_cast<double>(3 * channels * extent));
 }
 
 // Sweep: sparsity is monotone in the threshold level.
